@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .estimators import (
     FitResult,
     ShrinkageStats,
+    fit,
     fit_blup,
     fit_map,
     fit_mle,
@@ -70,6 +71,7 @@ __all__ = [
     "density",
     "density_original_scale",
     "fisher_info",
+    "fit",
     "fit_blup",
     "fit_fpca",
     "fit_map",

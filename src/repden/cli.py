@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import FitFailedError, FitResult, fit_blup, fit_map, fit_mle, select_k_aic
+from .estimators import FAMILY_METHODS, FIT_ERRORS, FitResult, fit
 from .expfam import FamilyModel, density, train_family
 from .grid import Domain, GridFn
 from .logscale import (
@@ -46,8 +46,6 @@ from .simulate import run_scenario
 
 THREADS_ENV = "REPDEN_THREADS"
 
-FAMILY_METHODS = ("mle", "map", "blup")
-
 
 class UsageError(Exception):
     pass
@@ -62,28 +60,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_domain(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--domain expects 'lo,hi', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"--domain expects numbers, got {text!r}")
-    if hi <= lo:
-        raise UsageError(f"--domain needs hi > lo, got {text!r}")
+# Flag value types: argparse turns a ValueError raised here into a usage error.
+
+
+def domain_bounds(text: str) -> tuple[float, float]:
+    lo, hi = map(float, text.split(","))
+    if not hi > lo:
+        raise ValueError(text)
     return lo, hi
 
 
-def _parse_size(text: str) -> int | tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (int(lo), int(hi))
-    return int(text)
+def size_or_range(text: str) -> int | tuple[int, int]:
+    lo, sep, hi = text.partition(":")
+    return (int(lo), int(hi)) if sep else int(text)
 
 
-def _parse_float_list(text: str) -> list[float]:
+def number_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
+
+
+def size_strata(text: str) -> list[tuple[float, float, str]]:
+    """Breaks ``b0 < ... < bn`` as the labelled intervals
+    ``(-inf,b0], (b0,b1], ..., (bn,inf]``."""
+    edges = [-math.inf, *number_list(text), math.inf]
+    if len(edges) < 3 or not all(a < b for a, b in zip(edges[:-1], edges[1:])):
+        raise ValueError(text)
+    return [(lo, hi, f"({lo:g},{hi:g}]") for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def bandwidth(text: str) -> float | None:
+    if text == "auto":
+        return None
+    h = float(text)
+    if not 0 < h < math.inf:
+        raise ValueError(text)
+    return h
+
+
+def _truncation(args, model: FamilyModel) -> tuple[int | None, int]:
+    """``(k, k_max)`` from ``--k`` and ``--k-max``; ``k`` is None for the AIC sweep."""
+    n = model.n_components
+    if args.k_max is not None and args.k_max < 1:
+        raise UsageError(f"--k-max must be at least 1, got {args.k_max}")
+    if args.k != "aic" and not (args.k.isdecimal() and 1 <= int(args.k) <= n):
+        raise UsageError(f"--k must be 'aic' or an integer in [1, {n}], got {args.k!r}")
+    return (None if args.k == "aic" else int(args.k)), min(args.k_max or n, n)
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -121,28 +142,26 @@ def cmd_train(args) -> int:
             f"need at least 2 usable subpopulations, got {len(usable)} "
             f"(threshold {min_size})"
         )
-    bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
 
     if args.log_scale:
         scaled = fit_scaled(
             usable,
             k_max=args.k_max,
             delta=args.delta,
-            bandwidth=bandwidth,
+            bandwidth=args.bandwidth,
             n_grid=args.grid,
         )
         model = scaled.inner
     else:
         if args.domain is None:
             raise UsageError("--domain lo,hi is required unless --log-scale is set")
-        lo, hi = _parse_domain(args.domain)
-        domain = Domain(lo, hi, args.grid)
+        domain = Domain(*args.domain, args.grid)
         for s in usable:
             if not domain.contains(s.obs):
                 raise UsageError(
                     f"subpopulation {s.id!r} has observations outside the declared domain"
                 )
-        model = train_family(usable, domain, args.k_max, bandwidth=bandwidth)
+        model = train_family(usable, domain, args.k_max, bandwidth=args.bandwidth)
 
     model.meta.timestamp = datetime.now(timezone.utc).isoformat()
     save_model(model, args.out)
@@ -172,19 +191,14 @@ def _load_any_model(path) -> tuple[FamilyModel, ScaledModel | None]:
     return model, None
 
 
-def _fit_one(model: FamilyModel, scaled: ScaledModel | None, sample: SubpopSample,
+def _fit_one(model: FamilyModel, scaled: ScaledModel | None, obs: np.ndarray,
              method: str, k: int | None, k_max: int) -> tuple[FitResult, GridFn]:
+    """Fit ``obs`` and return the fit with its density in the data's scale."""
     if scaled is not None:
-        result = fit_original_scale(scaled, sample.obs, method=method, k=k, k_max=k_max)
-        dens = density_original_scale(scaled, result.theta)
-    else:
-        if k is None:
-            result = select_k_aic(model, sample.obs, method, k_max)
-        else:
-            fitter = {"mle": fit_mle, "map": fit_map, "blup": fit_blup}[method]
-            result = fitter(model, sample.obs, k)
-        dens = density(model, result.theta)
-    return result, dens
+        result = fit_original_scale(scaled, obs, method=method, k=k, k_max=k_max)
+        return result, density_original_scale(scaled, result.theta)
+    result = fit(model, obs, method, k=k, k_max=k_max)
+    return result, density(model, result.theta)
 
 
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
@@ -211,16 +225,13 @@ def cmd_fit(args) -> int:
     method = args.method.lower()
     if method not in FAMILY_METHODS:
         raise UsageError(f"--method must be one of {FAMILY_METHODS}, got {args.method!r}")
-    k = None if args.k == "aic" else int(args.k)
-    k_max = min(args.k_max or model.n_components, model.n_components)
-    if k is not None and not 1 <= k <= model.n_components:
-        raise UsageError(f"--k must be in [1, {model.n_components}], got {k}")
+    k, k_max = _truncation(args, model)
     threads = _resolve_threads(args.threads)
 
     def one(sample: SubpopSample) -> dict:
         try:
-            result, dens = _fit_one(model, scaled, sample, method, k, k_max)
-        except Exception as exc:
+            result, dens = _fit_one(model, scaled, sample.obs, method, k, k_max)
+        except FIT_ERRORS as exc:
             return {"id": sample.id, "status": "error", "error": str(exc)}
         write_density_csv(out_dir / f"density_{sample.id}.csv", dens)
         return _result_payload(sample, result)
@@ -258,17 +269,12 @@ def cmd_simulate(args) -> int:
         raise UsageError(
             f"--scenario must be one of {SCENARIO_KINDS}, got {args.scenario!r}"
         )
-    overrides = {}
-    if args.n_train is not None:
-        overrides["n_train"] = args.n_train
-    if args.train_size is not None:
-        overrides["train_size"] = _parse_size(args.train_size)
-    if args.n_test is not None:
-        overrides["n_test"] = args.n_test
-    if args.test_size is not None:
-        overrides["test_size"] = _parse_size(args.test_size)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("n_train", "train_size", "n_test", "test_size")
+        if getattr(args, key) is not None
+    }
     spec = default_spec(args.scenario, args.seed, **overrides)
-    bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
     threads = _resolve_threads(args.threads)
 
     out_dir = Path(args.out)
@@ -279,7 +285,7 @@ def cmd_simulate(args) -> int:
         reps=args.reps,
         k_max=args.k_max,
         n_grid=args.grid,
-        bandwidth=bandwidth,
+        bandwidth=args.bandwidth,
         threads=threads,
         keep_data=True,
     )
@@ -332,48 +338,28 @@ def cmd_simulate(args) -> int:
 # evaluate
 
 
-def _strata_label(size: int, breaks: list[float]) -> str:
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if lo < size <= hi:
-            return f"({lo:g},{hi:g}]"
-    return f"({breaks[-1]:g},inf]"
-
-
 def _loo_fit_fn(model, scaled, method, k, k_max, full_sample: SubpopSample):
     """Refit callback for one subpopulation; evaluates in the data's scale."""
-    if method == "kde":
-        domain = model.domain
+    if method != "kde":
+        return lambda subset: _fit_one(model, scaled, subset, method, k, k_max)[1]
+    domain = model.domain
+    if scaled is not None:
+        h = silverman_bandwidth(SubpopSample(id=full_sample.id, obs=np.log(full_sample.obs)))
+    else:
+        h = silverman_bandwidth(full_sample)
+    cfg = KdeConfig(bandwidth=h)
+
+    def fit_kde(subset: np.ndarray) -> GridFn:
         if scaled is not None:
-            h = silverman_bandwidth(SubpopSample(id=full_sample.id,
-                                                 obs=np.log(full_sample.obs)))
-        else:
-            h = silverman_bandwidth(full_sample)
-        cfg = KdeConfig(bandwidth=h)
+            x = clamp_log_obs(scaled, subset)
+            xdens = weighted_kde(SubpopSample(id="loo", obs=x), cfg, domain)
+            y = np.exp(domain.grid)
+            ydom = Domain(y[0], y[-1], domain.n_grid * 4)
+            vals = np.interp(np.log(ydom.grid), domain.grid, xdens.values) / ydom.grid
+            return GridFn(ydom, vals / (ydom.trap_weights @ vals))
+        return weighted_kde(SubpopSample(id="loo", obs=subset), cfg, domain)
 
-        def fit_kde(subset: np.ndarray) -> GridFn:
-            if scaled is not None:
-                x = clamp_log_obs(scaled, subset)
-                xdens = weighted_kde(SubpopSample(id="loo", obs=x), cfg, domain)
-                y = np.exp(domain.grid)
-                ydom = Domain(y[0], y[-1], domain.n_grid * 4)
-                vals = np.interp(np.log(ydom.grid), domain.grid, xdens.values) / ydom.grid
-                return GridFn(ydom, vals / (ydom.trap_weights @ vals))
-            return weighted_kde(SubpopSample(id="loo", obs=subset), cfg, domain)
-
-        return fit_kde
-
-    def fit_family(subset: np.ndarray) -> GridFn:
-        if scaled is not None:
-            result = fit_original_scale(scaled, subset, method=method, k=k, k_max=k_max)
-            return density_original_scale(scaled, result.theta)
-        if k is None:
-            result = select_k_aic(model, subset, method, k_max)
-        else:
-            fitter = {"mle": fit_mle, "map": fit_map, "blup": fit_blup}[method]
-            result = fitter(model, subset, k)
-        return density(model, result.theta)
-
-    return fit_family
+    return fit_kde
 
 
 def cmd_evaluate(args) -> int:
@@ -385,21 +371,20 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in FAMILY_METHODS + ("kde",):
             raise UsageError(f"unknown method {m!r} in --methods")
-    k = None if args.k == "aic" else int(args.k)
-    k_max = min(args.k_max or model.n_components, model.n_components)
-    breaks = _parse_float_list(args.strata) if args.strata else [0.0, 10.0, 35.0, 75.0]
-    levels = _parse_float_list(args.return_levels) if args.return_levels else []
+    k, k_max = _truncation(args, model)
+    levels = args.return_levels
     threads = _resolve_threads(args.threads)
 
     rows = []
 
     def evaluate_sample(sample: SubpopSample) -> list[dict]:
         out = []
+        stratum = next(label for lo, hi, label in args.strata if lo < sample.size <= hi)
         for method in methods:
             entry = {
                 "id": sample.id,
                 "size": sample.size,
-                "stratum": _strata_label(sample.size, breaks),
+                "stratum": stratum,
                 "method": method,
             }
             if args.loo:
@@ -408,16 +393,16 @@ def cmd_evaluate(args) -> int:
                         _loo_fit_fn(model, scaled, method, k, k_max, sample), sample.obs
                     )
                     entry["loo_ce"] = ce
-                except (LooRefitError, ValueError, FitFailedError) as exc:
+                except (LooRefitError, *FIT_ERRORS) as exc:
                     entry["loo_ce"] = None
                     entry["error"] = str(exc)
             if levels and method != "kde":
                 try:
-                    result, dens = _fit_one(model, scaled, sample, method, k, k_max)
+                    _, dens = _fit_one(model, scaled, sample.obs, method, k, k_max)
                     entry["return_levels"] = {
                         f"{t:g}": return_level(dens, t) for t in levels
                     }
-                except Exception as exc:
+                except FIT_ERRORS as exc:
                     entry["return_levels"] = None
                     entry.setdefault("error", str(exc))
             out.append(entry)
@@ -453,9 +438,7 @@ def cmd_evaluate(args) -> int:
                     fh.write(f"{r['id']},{r['method']},{t},{lvl!r}\n")
 
     summary = {"command": "evaluate", "strata": []}
-    labels = [f"({a:g},{b:g}]" for a, b in zip(breaks[:-1], breaks[1:])]
-    labels.append(f"({breaks[-1]:g},inf]")
-    for label in labels:
+    for _, _, label in args.strata:
         block = {"stratum": label, "methods": {}}
         for method in methods:
             vals = [
@@ -499,10 +482,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a family from a sample CSV")
     p.add_argument("input", help="sample CSV (header: subpop_id,value)")
     p.add_argument("--out", required=True, help="model file to write (JSON)")
-    p.add_argument("--domain", help="comma-separated lo,hi of the support")
+    p.add_argument("--domain", type=domain_bounds, help="comma-separated lo,hi of the support")
     p.add_argument("--grid", type=int, default=512, help="grid size (default 512)")
     p.add_argument("--k-max", type=int, default=10, help="components to retain (default 10)")
-    p.add_argument("--bandwidth", default="auto", help="KDE bandwidth or 'auto' (median rule)")
+    p.add_argument("--bandwidth", type=bandwidth, default="auto",
+                   help="KDE bandwidth or 'auto' (median rule)")
     p.add_argument("--min-train-size", type=int, default=2,
                    help="exclude subpopulations smaller than this (default 2)")
     p.add_argument("--log-scale", action="store_true",
@@ -528,12 +512,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--train-size", default=None, help="integer or inclusive lo:hi range")
+    p.add_argument("--train-size", type=size_or_range, default=None,
+                   help="integer or inclusive lo:hi range")
     p.add_argument("--n-test", type=int, default=None)
-    p.add_argument("--test-size", default=None, help="integer or inclusive lo:hi range")
+    p.add_argument("--test-size", type=size_or_range, default=None,
+                   help="integer or inclusive lo:hi range")
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--bandwidth", default="auto")
+    p.add_argument("--bandwidth", type=bandwidth, default="auto")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -542,10 +528,11 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="sample CSV to evaluate")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--loo", action="store_true", help="leave-one-out cross-entropy")
-    p.add_argument("--return-levels", default=None,
+    p.add_argument("--return-levels", type=number_list, default=[],
                    help="comma-separated return periods in years, e.g. 5,10,20,30")
-    p.add_argument("--strata", default=None,
-                   help="comma-separated size breaks (default 0,10,35,75)")
+    p.add_argument("--strata", type=size_strata, default="0,10,35,75",
+                   help="comma-separated increasing size breaks b0,...,bn: strata "
+                        "(-inf,b0], (b0,b1], ..., (bn,inf] (default 0,10,35,75)")
     p.add_argument("--methods", default="mle,map,blup,kde")
     p.add_argument("--k", default="aic")
     p.add_argument("--k-max", type=int, default=None)

@@ -28,8 +28,6 @@ BLUP_RIDGE = 1e-10
 BLUP_COND_LIMIT = 1e12
 BLUP_BOX_MARGIN = 1e-6
 
-METHOD_TAGS = ("MLE", "MAP", "BLUP")
-
 
 class ZeroPriorVarianceError(ValueError):
     """A training score variance is zero, so the MAP prior degenerates."""
@@ -37,6 +35,11 @@ class ZeroPriorVarianceError(ValueError):
 
 class FitFailedError(RuntimeError):
     """No truncation level produced a valid fit."""
+
+
+# What a fit raises for bad input or a failed solve; anything else is a bug.
+# ``ValueError`` covers ``MomentRangeError`` and ``np.linalg.LinAlgError``.
+FIT_ERRORS = (ValueError, FitFailedError, NewtonDivergenceError)
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,6 @@ class FitResult:
         return 2.0 * self.k - 2.0 * self.loglik
 
 
-def _validate_obs(model: FamilyModel, obs) -> np.ndarray:
-    obs = np.asarray(obs, dtype=float).ravel()
-    if obs.size == 0:
-        raise ValueError("observation vector is empty")
-    if not model.domain.contains(obs):
-        raise ValueError("observations fall outside the model domain")
-    return obs
-
-
 def _loglik(model: FamilyModel, theta: np.ndarray, obs: np.ndarray, b: float) -> float:
     """Full-sample log-likelihood; grid functions interpolated at the data."""
     grid = model.domain.grid
@@ -108,31 +102,6 @@ def _finish(model, method, k, theta, obs) -> FitResult:
     return replace(result, aic_trace=((k, result.aic),))
 
 
-def phibar_covariance_base(model: FamilyModel, k: int) -> np.ndarray:
-    """Mean within-subpopulation covariance of the statistic at unit sample size.
-
-    Averages ``int (phi(t) - tau_i)(phi(t) - tau_i)' p_i(t) dt`` over the
-    stored pre-smoothed training densities; dividing by the fitting sample
-    size gives the covariance of the sample statistic mean.
-    """
-
-    def compute():
-        phi = model.phi[:, :k]
-        w = model.domain.trap_weights
-        taus = model.train_moments(k)
-        total = np.zeros((k, k))
-        for i, dens in enumerate(model.train_densities):
-            wp = w * dens.values
-            m2 = phi.T @ (wp[:, None] * phi)
-            m1 = wp @ phi
-            tau = taus[i]
-            total += m2 - np.outer(tau, m1) - np.outer(m1, tau) + np.outer(tau, tau)
-        base = total / model.n_train
-        return 0.5 * (base + base.T)
-
-    return model.cache_get_or_set(("phibar_base", k), compute)
-
-
 def shrinkage_stats(model: FamilyModel, k: int, fit_n: int) -> ShrinkageStats:
     """All four training-side shrinkage statistics at truncation ``k``."""
     if model.n_train < 2:
@@ -141,17 +110,12 @@ def shrinkage_stats(model: FamilyModel, k: int, fit_n: int) -> ShrinkageStats:
         raise ValueError(f"k must be in [1, {model.n_components}], got {k}")
     if fit_n < 1:
         raise ValueError(f"fitting sample size must be positive, got {fit_n}")
-    taus = model.train_moments(k)
-    tau_bar = taus.mean(axis=0)
-    centered = taus - tau_bar
-    sigma_tau = centered.T @ centered / (model.n_train - 1)
-    sigma_phibar = phibar_covariance_base(model, k) / fit_n
-    score_vars = model.train_scores[:, :k].var(axis=0, ddof=1)
+    s = model.summary(k)
     return ShrinkageStats(
-        tau_bar=tau_bar,
-        sigma_tau=0.5 * (sigma_tau + sigma_tau.T),
-        sigma_phibar=sigma_phibar,
-        score_vars=score_vars,
+        tau_bar=s.tau_bar,
+        sigma_tau=s.sigma_tau,
+        sigma_phibar=s.phibar_base / fit_n,
+        score_vars=s.score_vars,
     )
 
 
@@ -161,7 +125,7 @@ def fit_mle(model: FamilyModel, obs, k: int, theta0=None) -> FitResult:
     The first-order condition matches the model moments to the sample
     statistic average, so this is a plain moment inversion.
     """
-    obs = _validate_obs(model, obs)
+    obs = np.asarray(obs, dtype=float).ravel()
     phibar = suffstat_average(model, obs, k)
     check_moment_range(model, phibar)
     theta = newton_minimize(model, k, phibar, theta0=theta0)
@@ -174,10 +138,10 @@ def fit_map(model: FamilyModel, obs, k: int, theta0=None) -> FitResult:
     Prior variances are the training score variances; the likelihood term is
     the full-sample one, so the prior pulls harder when ``obs`` is small.
     """
-    obs = _validate_obs(model, obs)
+    obs = np.asarray(obs, dtype=float).ravel()
     phibar = suffstat_average(model, obs, k)
     check_moment_range(model, phibar)
-    svars = model.train_scores[:, :k].var(axis=0, ddof=1)
+    svars = model.summary(k).score_vars
     if np.any(svars <= 0):
         raise ZeroPriorVarianceError(
             "a training score variance is zero for the requested truncation"
@@ -228,7 +192,7 @@ def fit_blup(model: FamilyModel, obs, k: int, fit_n: int | None = None,
     ``fit_n`` overrides the sample size entering the within-subpopulation
     covariance; by default it is the number of observations.
     """
-    obs = _validate_obs(model, obs)
+    obs = np.asarray(obs, dtype=float).ravel()
     phibar = suffstat_average(model, obs, k)
     check_moment_range(model, phibar)
     stats = shrinkage_stats(model, k, fit_n if fit_n is not None else obs.size)
@@ -240,6 +204,28 @@ def fit_blup(model: FamilyModel, obs, k: int, fit_n: int | None = None,
 
 _FITTERS = {"mle": fit_mle, "map": fit_map, "blup": fit_blup}
 
+FAMILY_METHODS = tuple(_FITTERS)
+
+
+def _fitter(method: str):
+    tag = method.lower()
+    if tag not in _FITTERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {sorted(_FITTERS)}")
+    return _FITTERS[tag]
+
+
+def fit(model: FamilyModel, obs, method: str, k: int | None = None,
+        k_max: int | None = None) -> FitResult:
+    """Fit ``obs`` by ``method`` (``mle``, ``map`` or ``blup``) at truncation ``k``.
+
+    ``k=None`` selects the truncation by AIC over ``1..k_max`` (all retained
+    components when ``k_max`` is None).
+    """
+    if k is None:
+        return select_k_aic(model, obs, method,
+                            model.n_components if k_max is None else k_max)
+    return _fitter(method)(model, obs, k)
+
 
 def select_k_aic(model: FamilyModel, obs, method: str, k_max: int) -> FitResult:
     """Fit at every truncation up to ``k_max`` and keep the AIC minimizer.
@@ -247,12 +233,9 @@ def select_k_aic(model: FamilyModel, obs, method: str, k_max: int) -> FitResult:
     Truncations where the fit errors are skipped and absent from the trace;
     ties go to the smallest ``k``.
     """
-    tag = method.lower()
-    if tag not in _FITTERS:
-        raise ValueError(f"unknown method {method!r}; expected one of {sorted(_FITTERS)}")
+    fitter = _fitter(method)
     if not 1 <= k_max <= model.n_components:
         raise ValueError(f"k_max must be in [1, {model.n_components}], got {k_max}")
-    fitter = _FITTERS[tag]
     trace: list[tuple[int, float]] = []
     best: FitResult | None = None
     warm: np.ndarray | None = None

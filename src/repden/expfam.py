@@ -10,7 +10,6 @@ inverted by a damped Newton iteration on the strictly convex dual objective.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,27 +53,42 @@ class ModelMeta:
     timestamp: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
+class TruncationSummary:
+    """Training-side summaries at one truncation ``k``, all read-only: the
+    moment coordinates of the training scores (one row per subpopulation),
+    their mean and covariance, the mean within-subpopulation covariance of
+    the sample statistic at unit sample size, and the score variances."""
+
+    train_moments: np.ndarray
+    tau_bar: np.ndarray
+    sigma_tau: np.ndarray
+    phibar_base: np.ndarray
+    score_vars: np.ndarray
+
+
+@dataclass(frozen=True)
 class FamilyModel:
     """A trained family: eigensystem, domain, and training-side summaries.
 
-    Treated as immutable after construction; the per-truncation caches make
-    repeated fits against one model cheap and are safe for concurrent use.
+    Immutable.  The summaries for every truncation ``k = 1..K`` are computed
+    once at construction, so fits against one model share them, from any
+    thread.
     """
 
     sys: EigenSystem
     domain: Domain
     train_densities: tuple[GridFn, ...]
     meta: ModelMeta
-    _cache: dict = field(default_factory=dict, repr=False)
-    # reentrant: cached computations may consult other cached entries
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    summaries: tuple[TruncationSummary, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sys.mu.domain != self.domain:
             raise ValueError("eigensystem domain differs from model domain")
         if len(self.train_densities) != self.sys.n_train:
             raise ValueError("one pre-smoothed density per training subpopulation required")
+        summaries = tuple(_summarize(self, k) for k in range(1, self.n_components + 1))
+        object.__setattr__(self, "summaries", summaries)
 
     @property
     def n_components(self) -> int:
@@ -106,20 +120,45 @@ class FamilyModel:
     def moment_hi(self) -> np.ndarray:
         return self.phi.max(axis=0)
 
-    def train_moments(self, k: int) -> np.ndarray:
-        """Moment coordinates of the training scores at truncation ``k``, cached."""
-        key = ("train_moments", k)
-        with self._lock:
-            if key not in self._cache:
-                thetas = self.train_scores[:, :k]
-                self._cache[key] = _moments_batch(self, k, thetas)
-            return self._cache[key]
+    def summary(self, k: int) -> TruncationSummary:
+        """The training-side summaries at truncation ``k``."""
+        if not 1 <= k <= self.n_components:
+            raise ValueError(f"k must be in [1, {self.n_components}], got {k}")
+        return self.summaries[k - 1]
 
-    def cache_get_or_set(self, key, compute):
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = compute()
-            return self._cache[key]
+    def train_moments(self, k: int) -> np.ndarray:
+        """Moment coordinates of the training scores at truncation ``k``."""
+        return self.summary(k).train_moments
+
+
+def _summarize(model: FamilyModel, k: int) -> TruncationSummary:
+    """The summaries at truncation ``k``.  The within-subpopulation covariance
+    averages ``int (phi(t) - tau_i)(phi(t) - tau_i)' p_i(t) dt`` over the
+    pre-smoothed training densities; divided by a fitting sample size it is
+    the covariance of that sample's statistic mean."""
+    phi = model.phi[:, :k]
+    w = model.domain.trap_weights
+    taus = _moments_batch(model, k, model.train_scores[:, :k])
+    total = np.zeros((k, k))
+    for tau, dens in zip(taus, model.train_densities):
+        wp = w * dens.values
+        m2 = phi.T @ (wp[:, None] * phi)
+        m1 = wp @ phi
+        total += m2 - np.outer(tau, m1) - np.outer(m1, tau) + np.outer(tau, tau)
+    base = total / model.n_train
+    tau_bar = taus.mean(axis=0)
+    centered = taus - tau_bar
+    sigma_tau = centered.T @ centered / (model.n_train - 1)
+    arrays = {
+        "train_moments": taus,
+        "tau_bar": tau_bar,
+        "sigma_tau": 0.5 * (sigma_tau + sigma_tau.T),
+        "phibar_base": 0.5 * (base + base.T),
+        "score_vars": model.train_scores[:, :k].var(axis=0, ddof=1),
+    }
+    for a in arrays.values():
+        a.setflags(write=False)
+    return TruncationSummary(**arrays)
 
 
 def log_trapz_exp(g: np.ndarray, w: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FitResult, fit_blup, fit_map, fit_mle, select_k_aic
+from .estimators import FitResult, fit
 from .expfam import FamilyModel, log_trapz_exp, train_family, _check_theta
 from .grid import Domain, GridFn
 from .presmooth import SubpopSample
@@ -23,8 +23,6 @@ DEFAULT_DELTA = 0.5
 
 # Relative offset used when clamping out-of-domain observations inward.
 CLAMP_EPS_REL = 1e-9
-
-_FITTERS = {"mle": fit_mle, "map": fit_map, "blup": fit_blup}
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,9 @@ def fit_original_scale(
     method: str = "mle",
     k: int | None = None,
     k_max: int | None = None,
-    fit_n: int | None = None,
 ) -> FitResult:
     """Fit a new original-scale sample; ``k=None`` selects the truncation by AIC."""
-    x = clamp_log_obs(m, obs_y)
-    if k is None:
-        return select_k_aic(
-            m.inner, x, method, k_max if k_max is not None else m.inner.n_components
-        )
-    tag = method.lower()
-    if tag not in _FITTERS:
-        raise ValueError(f"unknown method {method!r}; expected one of {sorted(_FITTERS)}")
-    if tag == "blup" and fit_n is not None:
-        return fit_blup(m.inner, x, k, fit_n=fit_n)
-    return _FITTERS[tag](m.inner, x, k)
+    return fit(m.inner, clamp_log_obs(m, obs_y), method, k=k, k_max=k_max)
 
 
 def density_original_scale(m: ScaledModel, theta, n_y: int | None = None) -> GridFn:
@@ -148,9 +135,7 @@ def parameters_preserved(m: ScaledModel, obs_y, k: int, method: str = "mle") -> 
     agree to machine precision.
     """
     via_wrapper = fit_original_scale(m, obs_y, method=method, k=k)
-    x = clamp_log_obs(m, obs_y)
-    tag = method.lower()
-    direct = _FITTERS[tag](m.inner, x, k)
+    direct = fit(m.inner, clamp_log_obs(m, obs_y), method, k=k)
     if not np.allclose(via_wrapper.theta, direct.theta, rtol=0, atol=1e-10):
         raise AssertionError("scale wrapper and direct log-scale fit disagree")
     return via_wrapper.theta

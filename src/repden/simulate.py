@@ -14,14 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import select_k_aic
+from .estimators import FAMILY_METHODS, fit
 from .expfam import density, train_family
 from .grid import GridFn
 from .metrics import kl_div
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
 from .simgen import ScenarioSpec, generate, scenario_domain
-
-FAMILY_METHODS = ("mle", "map", "blup")
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def run_replication(
 
     for sample, truth in test:
         for method in methods:
-            result = select_k_aic(model, sample.obs, method, sweep_k)
+            result = fit(model, sample.obs, method, k_max=sweep_k)
             kls[method].append(kl_div(truth, density(model, result.theta)))
             ks[method].append(result.k)
         if kde_baseline:

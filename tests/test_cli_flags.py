@@ -1,0 +1,111 @@
+"""Flag validation, size strata and error handling of the command line."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from repden import estimators
+from repden.cli import main
+from repden.modelio import write_samples_csv
+from repden.presmooth import SubpopSample
+from repden.simgen import default_spec, generate
+
+
+@pytest.fixture(scope="module")
+def model_and_csv(tmp_path_factory):
+    """A small trained model and a CSV of groups sized 3, 4, 8, 12 and 40."""
+    root = tmp_path_factory.mktemp("cli_flags")
+    spec = default_spec("trunc_normal", seed=5, n_train=8, train_size=60, n_test=1)
+    train, _ = generate(spec, n_grid=128)
+    write_samples_csv(root / "train.csv", train)
+    model = root / "model.json"
+    assert main(["train", str(root / "train.csv"), "--out", str(model),
+                 "--domain=-3,3", "--grid", "128", "--k-max", "3"]) == 0
+    rng = np.random.default_rng(11)
+    groups = [SubpopSample(f"n{n}", rng.normal(0.0, 1.0, size=n).clip(-2.9, 2.9))
+              for n in (3, 4, 8, 12, 40)]
+    write_samples_csv(root / "new.csv", groups)
+    return model, root / "new.csv"
+
+
+def test_strata_label_small_groups_in_lowest_interval(model_and_csv, tmp_path, capsys):
+    model, new = model_and_csv
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(model), str(new), "--out", str(out), "--loo",
+                 "--methods", "kde", "--strata", "5,10", "--threads", "1"]) == 0
+    capsys.readouterr()
+    with open(out / "loo_per_sample.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["subpop_id"]: r["stratum"] for r in rows} == {
+        "n3": "(-inf,5]", "n4": "(-inf,5]", "n8": "(5,10]",
+        "n12": "(10,inf]", "n40": "(10,inf]",
+    }
+    summary = json.loads((out / "loo_summary.json").read_text())
+    counts = {b["stratum"]: b["methods"]["kde"]["n"] for b in summary["strata"]}
+    assert counts == {"(-inf,5]": 2, "(5,10]": 1, "(10,inf]": 2}
+
+
+@pytest.mark.parametrize("strata", ["10,5", "5,5", "5,nan", ","])
+def test_strata_must_increase_strictly(model_and_csv, tmp_path, capsys, strata):
+    model, new = model_and_csv
+    assert main(["evaluate", str(model), str(new), "--out", str(tmp_path / "e"),
+                 "--loo", "--methods", "kde", "--strata", strata]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{model}", "{new}", "--out", "{out}", "--k", "abc"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--strata", "a"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--return-levels", "x"],
+        ["train", "{new}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "foo"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--test-size", "x"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--bandwidth", "-1"],
+    ],
+)
+def test_malformed_flag_values_exit_1(model_and_csv, tmp_path, capsys, argv):
+    model, new = model_and_csv
+    argv = [a.format(model=model, new=new, out=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{model}", "{new}", "--out", "{out}", "--k-max", "-1"],
+        ["fit", "{model}", "{new}", "--out", "{out}", "--k-max", "0"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--loo", "--k", "99"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--loo", "--k-max", "0"],
+    ],
+)
+def test_truncation_flags_checked_once(model_and_csv, tmp_path, capsys, argv):
+    model, new = model_and_csv
+    argv = [a.format(model=model, new=new, out=tmp_path / "o") for a in argv]
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def _boom(*args, **kwargs):
+    raise TypeError("a programming error, not a fit failure")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{model}", "{new}", "--out", "{out}", "--method", "mle", "--k", "1",
+         "--threads", "1"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle",
+         "--k", "1", "--return-levels", "5", "--threads", "1"],
+    ],
+)
+def test_programming_errors_propagate(model_and_csv, tmp_path, monkeypatch, argv):
+    model, new = model_and_csv
+    monkeypatch.setitem(estimators._FITTERS, "mle", _boom)
+    argv = [a.format(model=model, new=new, out=tmp_path / "o") for a in argv]
+    with pytest.raises(TypeError, match="programming error"):
+        main(argv)
