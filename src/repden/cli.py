@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (possibly with per-item errors), 1 usage error,
 2 I/O or parse error, 3 total numerical failure.  Every command is
-deterministic given its inputs, flags, and seed; worker threads only change
-scheduling, never output content or order.
+deterministic given its inputs, flags, and seed.  ``fit`` and ``evaluate``
+run their fits as one batch in one thread and accept ``--threads`` only for
+compatibility; ``--threads`` (or ``REPDEN_THREADS``) sizes ``simulate``'s
+process pool, which changes scheduling, never output content or order.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .estimators import FAMILY_METHODS, FIT_ERRORS, FitResult, fit
+from .estimators import BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitResult, fit
 from .expfam import FamilyModel, density, train_family
 from .grid import Domain, GridFn
 from .logscale import (
@@ -30,7 +31,7 @@ from .logscale import (
     fit_original_scale,
     fit_scaled,
 )
-from .metrics import LooRefitError, loo_cross_entropy, return_level
+from .metrics import LooRefitError, loo_cross_entropy, loo_score, return_level
 from .modelio import (
     ModelFormatError,
     SampleFormatError,
@@ -91,10 +92,28 @@ def size_strata(text: str) -> list[tuple[float, float, str]]:
 def bandwidth(text: str) -> float | None:
     if text == "auto":
         return None
-    h = float(text)
-    if not 0 < h < math.inf:
+    return positive_float(text)
+
+
+def positive_float(text: str) -> float:
+    x = float(text)
+    if not 0 < x < math.inf:
         raise ValueError(text)
-    return h
+    return x
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+def grid_size(text: str) -> int:
+    n = int(text)
+    if n < 16:
+        raise ValueError(text)
+    return n
 
 
 def _truncation(args, model: FamilyModel) -> tuple[int | None, int]:
@@ -191,14 +210,19 @@ def _load_any_model(path) -> tuple[FamilyModel, ScaledModel | None]:
     return model, None
 
 
-def _fit_one(model: FamilyModel, scaled: ScaledModel | None, obs: np.ndarray,
-             method: str, k: int | None, k_max: int) -> tuple[FitResult, GridFn]:
-    """Fit ``obs`` and return the fit with its density in the data's scale."""
+def _fit_all(model: FamilyModel, scaled: ScaledModel | None, obs: list[np.ndarray],
+             method: str, k: int | None, k_max: int) -> list:
+    """Fit every sample as one batch: a ``FitResult`` or a fit error per sample."""
     if scaled is not None:
-        result = fit_original_scale(scaled, obs, method=method, k=k, k_max=k_max)
-        return result, density_original_scale(scaled, result.theta)
-    result = fit(model, obs, method, k=k, k_max=k_max)
-    return result, density(model, result.theta)
+        return fit_original_scale(scaled, obs, method=method, k=k, k_max=k_max)
+    return fit(model, obs, method, k=k, k_max=k_max)
+
+
+def _density(model: FamilyModel, scaled: ScaledModel | None, result: FitResult) -> GridFn:
+    """The fitted density in the data's scale."""
+    if scaled is not None:
+        return density_original_scale(scaled, result.theta)
+    return density(model, result.theta)
 
 
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
@@ -226,21 +250,15 @@ def cmd_fit(args) -> int:
     if method not in FAMILY_METHODS:
         raise UsageError(f"--method must be one of {FAMILY_METHODS}, got {args.method!r}")
     k, k_max = _truncation(args, model)
-    threads = _resolve_threads(args.threads)
 
-    def one(sample: SubpopSample) -> dict:
-        try:
-            result, dens = _fit_one(model, scaled, sample.obs, method, k, k_max)
-        except FIT_ERRORS as exc:
-            return {"id": sample.id, "status": "error", "error": str(exc)}
-        write_density_csv(out_dir / f"density_{sample.id}.csv", dens)
-        return _result_payload(sample, result)
-
-    if threads <= 1:
-        results = [one(s) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, samples))
+    results = []
+    fits = _fit_all(model, scaled, [s.obs for s in samples], method, k, k_max)
+    for sample, result in zip(samples, fits):
+        if isinstance(result, FIT_ERRORS):
+            results.append({"id": sample.id, "status": "error", "error": str(result)})
+            continue
+        write_density_csv(out_dir / f"density_{sample.id}.csv", _density(model, scaled, result))
+        results.append(_result_payload(sample, result))
 
     n_failed = sum(1 for r in results if r["status"] == "error")
     payload = {
@@ -338,10 +356,8 @@ def cmd_simulate(args) -> int:
 # evaluate
 
 
-def _loo_fit_fn(model, scaled, method, k, k_max, full_sample: SubpopSample):
-    """Refit callback for one subpopulation; evaluates in the data's scale."""
-    if method != "kde":
-        return lambda subset: _fit_one(model, scaled, subset, method, k, k_max)[1]
+def _kde_refit(model, scaled, full_sample: SubpopSample):
+    """KDE refit callback for one subpopulation; evaluates in the data's scale."""
     domain = model.domain
     if scaled is not None:
         h = silverman_bandwidth(SubpopSample(id=full_sample.id, obs=np.log(full_sample.obs)))
@@ -362,6 +378,30 @@ def _loo_fit_fn(model, scaled, method, k, k_max, full_sample: SubpopSample):
     return fit_kde
 
 
+def _loo_entry(model, scaled, sample: SubpopSample, method: str, k, k_max) -> dict:
+    """The leave-one-out cross-entropy of one sample under one method, or the
+    fit error that stopped it; any other error propagates.
+
+    A family method refits the leave-one-out subsets in batches of
+    ``BATCH_SIZE``, which bounds the subsets held at once.
+    """
+    if method != "kde":
+        n, refits = sample.size, []
+        for lo in range(0, n, BATCH_SIZE):
+            subsets = [np.delete(sample.obs, j) for j in range(lo, min(lo + BATCH_SIZE, n))]
+            refits += _fit_all(model, scaled, subsets, method, k, k_max)
+        for j, r in enumerate(refits):
+            if isinstance(r, FIT_ERRORS):
+                return {"loo_ce": None, "error": str(LooRefitError(j, str(r)))}
+        return {"loo_ce": loo_score((_density(model, scaled, r) for r in refits), sample.obs)}
+    try:
+        return {"loo_ce": loo_cross_entropy(_kde_refit(model, scaled, sample), sample.obs)}
+    except (LooRefitError, *FIT_ERRORS) as exc:
+        if isinstance(exc, LooRefitError) and not isinstance(exc.__cause__, FIT_ERRORS):
+            raise
+        return {"loo_ce": None, "error": str(exc)}
+
+
 def cmd_evaluate(args) -> int:
     model, scaled = _load_any_model(args.model)
     samples = read_samples_csv(args.input)
@@ -373,48 +413,25 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"unknown method {m!r} in --methods")
     k, k_max = _truncation(args, model)
     levels = args.return_levels
-    threads = _resolve_threads(args.threads)
 
-    rows = []
-
-    def evaluate_sample(sample: SubpopSample) -> list[dict]:
-        out = []
-        stratum = next(label for lo, hi, label in args.strata if lo < sample.size <= hi)
-        for method in methods:
-            entry = {
-                "id": sample.id,
-                "size": sample.size,
-                "stratum": stratum,
-                "method": method,
-            }
+    entries = {}
+    for method in methods:
+        fits = []
+        if levels and method != "kde":
+            fits = _fit_all(model, scaled, [s.obs for s in samples], method, k, k_max)
+        for i, sample in enumerate(samples):
+            entry = {"id": sample.id, "size": sample.size, "method": method,
+                     "stratum": next(lab for lo, hi, lab in args.strata if lo < sample.size <= hi)}
             if args.loo:
-                try:
-                    ce = loo_cross_entropy(
-                        _loo_fit_fn(model, scaled, method, k, k_max, sample), sample.obs
-                    )
-                    entry["loo_ce"] = ce
-                except (LooRefitError, *FIT_ERRORS) as exc:
-                    entry["loo_ce"] = None
-                    entry["error"] = str(exc)
-            if levels and method != "kde":
-                try:
-                    _, dens = _fit_one(model, scaled, sample.obs, method, k, k_max)
-                    entry["return_levels"] = {
-                        f"{t:g}": return_level(dens, t) for t in levels
-                    }
-                except FIT_ERRORS as exc:
-                    entry["return_levels"] = None
-                    entry.setdefault("error", str(exc))
-            out.append(entry)
-        return out
-
-    if threads <= 1:
-        per_sample = [evaluate_sample(s) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_sample = list(pool.map(evaluate_sample, samples))
-    for group in per_sample:
-        rows.extend(group)
+                entry |= _loo_entry(model, scaled, sample, method, k, k_max)
+            if fits and isinstance(fits[i], FIT_ERRORS):
+                entry["return_levels"] = None
+                entry.setdefault("error", str(fits[i]))
+            elif fits:
+                dens = _density(model, scaled, fits[i])
+                entry["return_levels"] = {f"{t:g}": return_level(dens, t) for t in levels}
+            entries[i, method] = entry
+    rows = [entries[i, method] for i in range(len(samples)) for method in methods]
 
     if args.loo:
         with open(out_dir / "loo_per_sample.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -483,7 +500,8 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="sample CSV (header: subpop_id,value)")
     p.add_argument("--out", required=True, help="model file to write (JSON)")
     p.add_argument("--domain", type=domain_bounds, help="comma-separated lo,hi of the support")
-    p.add_argument("--grid", type=int, default=512, help="grid size (default 512)")
+    p.add_argument("--grid", type=grid_size, default=512,
+                   help="grid size, at least 16 (default 512)")
     p.add_argument("--k-max", type=int, default=10, help="components to retain (default 10)")
     p.add_argument("--bandwidth", type=bandwidth, default="auto",
                    help="KDE bandwidth or 'auto' (median rule)")
@@ -491,7 +509,7 @@ def build_parser() -> _Parser:
                    help="exclude subpopulations smaller than this (default 2)")
     p.add_argument("--log-scale", action="store_true",
                    help="train on log responses (positive data only)")
-    p.add_argument("--delta", type=float, default=0.5,
+    p.add_argument("--delta", type=positive_float, default=0.5,
                    help="domain pad for --log-scale (default 0.5)")
     p.set_defaults(func=cmd_train)
 
@@ -503,14 +521,14 @@ def build_parser() -> _Parser:
     p.add_argument("--k", default="aic", help="fixed component count or 'aic' (default)")
     p.add_argument("--k-max", type=int, default=None, help="cap for the AIC sweep")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: {THREADS_ENV} or all cores)")
+                   help="ignored: all groups are fitted as one batch")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="run a seeded benchmark scenario")
     p.add_argument("--scenario", required=True, help="one of " + ", ".join(SCENARIO_KINDS))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=50)
+    p.add_argument("--reps", type=positive_int, default=50)
     p.add_argument("--n-train", type=int, default=None)
     p.add_argument("--train-size", type=size_or_range, default=None,
                    help="integer or inclusive lo:hi range")
@@ -518,9 +536,10 @@ def build_parser() -> _Parser:
     p.add_argument("--test-size", type=size_or_range, default=None,
                    help="integer or inclusive lo:hi range")
     p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=grid_size, default=512)
     p.add_argument("--bandwidth", type=bandwidth, default="auto")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker processes (default: {THREADS_ENV} or all cores)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score fits without knowing the truths")
@@ -536,7 +555,8 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="mle,map,blup,kde")
     p.add_argument("--k", default="aic")
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="ignored: each method's fits run as batches")
     p.set_defaults(func=cmd_evaluate)
 
     return parser

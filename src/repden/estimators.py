@@ -1,7 +1,9 @@
 """Fitting a new sample within the trained family: MLE, MAP, BLUP, and AIC.
 
 All three fits reduce to the shared convex solver in :mod:`repden.expfam`.
-The MAP posterior multiplies the per-observation likelihood by the sample
+Every fitter takes one sample or a sequence of samples; a sequence is
+solved as one batch and gives one result or one error per sample.  The MAP
+posterior multiplies the per-observation likelihood by the sample
 size before adding the log-prior, so smaller samples are shrunk harder; the
 BLUP combines the sample statistic with the training mean through the
 between- versus within-subpopulation covariances in moment coordinates.
@@ -17,16 +19,20 @@ from .expfam import (
     FamilyModel,
     MomentRangeError,
     NewtonDivergenceError,
-    check_moment_range,
     natural_from_moment,
     newton_minimize,
     suffstat_average,
-    _moments_core,
+    _moments,
+    _outside_range,
 )
 
 BLUP_RIDGE = 1e-10
 BLUP_COND_LIMIT = 1e12
 BLUP_BOX_MARGIN = 1e-6
+
+# Samples solved together by one call of ``fit``: a batch's working memory is
+# a few arrays of ``BATCH_SIZE x n_grid`` values.
+BATCH_SIZE = 1024
 
 
 class ZeroPriorVarianceError(ValueError):
@@ -75,131 +81,192 @@ class FitResult:
         return 2.0 * self.k - 2.0 * self.loglik
 
 
-def _loglik(model: FamilyModel, theta: np.ndarray, obs: np.ndarray, b: float) -> float:
-    """Full-sample log-likelihood; grid functions interpolated at the data."""
-    grid = model.domain.grid
-    k = theta.size
-    mu_at = np.interp(obs, grid, model.mu_values)
-    phi_at = np.column_stack(
-        [np.interp(obs, grid, model.phi[:, j]) for j in range(k)]
-    )
-    return float(mu_at.sum() + (phi_at @ theta).sum() - obs.size * b)
+def as_samples(obs) -> tuple[list[np.ndarray], bool]:
+    """``obs`` as a list of 1-D samples, and whether it was a single sample.
+
+    A list or tuple whose items are arrays is a sequence of samples; any
+    other value (an array, or a list of numbers) is one sample.
+    """
+    if isinstance(obs, (list, tuple)) and (not obs or np.ndim(obs[0]) > 0):
+        return [np.asarray(o, dtype=float).ravel() for o in obs], False
+    return [np.asarray(obs, dtype=float).ravel()], True
 
 
-def _finish(model, method, k, theta, obs) -> FitResult:
-    _, b, xi, _ = _moments_core(model, theta)
-    ll = _loglik(model, theta, obs, b)
-    result = FitResult(
-        method=method,
-        k=k,
-        theta=theta,
-        xi=xi,
-        log_normalizer=b,
-        loglik=ll,
-        aic_trace=(),
-        n_obs=int(obs.size),
-    )
-    return replace(result, aic_trace=((k, result.aic),))
+@dataclass(frozen=True)
+class _Samples:
+    """Samples reduced to what every fit uses: their sizes, and the means of
+    ``mu`` and of the statistics up to one truncation, each sample
+    interpolated once.  A sample that failed validation keeps its error."""
+
+    n: np.ndarray
+    mu_bar: np.ndarray
+    phibar: np.ndarray
+    errors: tuple
 
 
-def shrinkage_stats(model: FamilyModel, k: int, fit_n: int) -> ShrinkageStats:
-    """All four training-side shrinkage statistics at truncation ``k``."""
+def _prepare(model: FamilyModel, obs, k: int) -> tuple[_Samples, bool]:
+    """``obs`` reduced up to truncation ``k``, and whether it was one sample;
+    already reduced samples pass through as a batch."""
+    if isinstance(obs, _Samples):
+        return obs, False
+    samples, single = as_samples(obs)
+    m = len(samples)
+    phibar = np.full((m, k), np.nan)
+    mu_bar = np.full(m, np.nan)
+    errors: list[ValueError | None] = [None] * m
+    for i, x in enumerate(samples):
+        try:
+            phibar[i] = suffstat_average(model, x, k)
+        except ValueError as exc:
+            errors[i] = exc
+            continue
+        mu_bar[i] = np.interp(x, model.domain.grid, model.mu_values).mean()
+    n = np.array([x.size for x in samples], dtype=int)
+    return _Samples(n=n, mu_bar=mu_bar, phibar=phibar, errors=tuple(errors)), single
+
+
+def _unwrap(results: list, single: bool):
+    """One sample's result, raising its error; or the whole list."""
+    if not single:
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def _fit(model: FamilyModel, obs, k: int, theta0, method: str, solve):
+    """Run ``solve(n, phibar, theta0) -> (theta, errors)`` on the samples whose
+    statistics are inside the moment range, and package every row."""
+    s, single = _prepare(model, obs, k)
+    phibar = s.phibar[:, :k]
+    errors = list(s.errors)
+    for i in np.flatnonzero(_outside_range(model, phibar)):
+        errors[i] = MomentRangeError()
+    rows = np.flatnonzero([e is None for e in errors])
+    theta = np.full(phibar.shape, np.nan)
+    if rows.size:
+        start = None if theta0 is None else np.reshape(theta0, phibar.shape)[rows]
+        theta[rows], row_errors = solve(s.n[rows], phibar[rows], start)
+        for i, e in zip(rows, row_errors):
+            errors[i] = e
+    results: list = errors
+    ok = np.flatnonzero([e is None for e in errors])
+    if ok.size:
+        _, b, xi = _moments(model, theta[ok])
+        n = s.n[ok]
+        # the sum over observations of mu + phi @ theta - B, from the means
+        loglik = n * (s.mu_bar[ok] + np.einsum("ij,ij->i", phibar[ok], theta[ok]) - b)
+        for j, i in enumerate(ok):
+            ll = float(loglik[j])
+            results[i] = FitResult(method=method, k=k, theta=theta[i], xi=xi[j],
+                                   log_normalizer=float(b[j]), loglik=ll,
+                                   aic_trace=((k, 2.0 * k - 2.0 * ll),), n_obs=int(n[j]))
+    return _unwrap(results, single)
+
+
+def shrinkage_stats(model: FamilyModel, k: int, fit_n) -> ShrinkageStats:
+    """All four training-side shrinkage statistics at truncation ``k``.
+
+    ``fit_n`` is one sample size or an array of them; an array stacks
+    ``sigma_phibar`` along a leading axis.
+    """
     if model.n_train < 2:
         raise ValueError("shrinkage statistics need at least two training subpopulations")
     if not 1 <= k <= model.n_components:
         raise ValueError(f"k must be in [1, {model.n_components}], got {k}")
-    if fit_n < 1:
+    fit_n = np.asarray(fit_n)
+    if np.any(fit_n < 1):
         raise ValueError(f"fitting sample size must be positive, got {fit_n}")
     s = model.summary(k)
     return ShrinkageStats(
         tau_bar=s.tau_bar,
         sigma_tau=s.sigma_tau,
-        sigma_phibar=s.phibar_base / fit_n,
+        sigma_phibar=s.phibar_base / fit_n[..., None, None],
         score_vars=s.score_vars,
     )
 
 
-def fit_mle(model: FamilyModel, obs, k: int, theta0=None) -> FitResult:
+def fit_mle(model: FamilyModel, obs, k: int, theta0=None):
     """Maximum likelihood within the truncated family.
 
     The first-order condition matches the model moments to the sample
     statistic average, so this is a plain moment inversion.
     """
-    obs = np.asarray(obs, dtype=float).ravel()
-    phibar = suffstat_average(model, obs, k)
-    check_moment_range(model, phibar)
-    theta = newton_minimize(model, k, phibar, theta0=theta0)
-    return _finish(model, "MLE", k, theta, obs)
+    def solve(n, phibar, start):
+        return newton_minimize(model, k, phibar, theta0=start)
+
+    return _fit(model, obs, k, theta0, "MLE", solve)
 
 
-def fit_map(model: FamilyModel, obs, k: int, theta0=None) -> FitResult:
+def fit_map(model: FamilyModel, obs, k: int, theta0=None):
     """Posterior mode under independent zero-mean normal priors on ``theta``.
 
     Prior variances are the training score variances; the likelihood term is
     the full-sample one, so the prior pulls harder when ``obs`` is small.
     """
-    obs = np.asarray(obs, dtype=float).ravel()
-    phibar = suffstat_average(model, obs, k)
-    check_moment_range(model, phibar)
-    svars = model.summary(k).score_vars
-    if np.any(svars <= 0):
-        raise ZeroPriorVarianceError(
-            "a training score variance is zero for the requested truncation"
-        )
-    penalty = 1.0 / (obs.size * svars)
-    theta = newton_minimize(model, k, phibar, diag_penalty=penalty, theta0=theta0)
-    return _finish(model, "MAP", k, theta, obs)
+    def solve(n, phibar, start):
+        svars = model.summary(k).score_vars
+        if np.any(svars <= 0):
+            return np.full(phibar.shape, np.nan), [ZeroPriorVarianceError(
+                "a training score variance is zero for the requested truncation"
+            ) for _ in n]
+        penalty = 1.0 / (n[:, None] * svars)
+        return newton_minimize(model, k, phibar, diag_penalty=penalty, theta0=start)
+
+    return _fit(model, obs, k, theta0, "MAP", solve)
 
 
 def blup_moment(stats: ShrinkageStats, phibar: np.ndarray) -> np.ndarray:
-    """The affine shrinkage combination in moment coordinates."""
-    k = phibar.size
+    """The affine shrinkage combination in moment coordinates.
+
+    ``phibar`` is one statistic ``(k,)`` or a stack ``(m, k)`` matching a
+    stacked ``stats.sigma_phibar``.
+    """
+    k = phibar.shape[-1]
+    eye = np.eye(k)
     total = stats.sigma_phibar + stats.sigma_tau
+    trace = np.trace(total, axis1=-2, axis2=-1)
     cond = np.linalg.cond(total)
-    if not np.isfinite(cond) or cond > BLUP_COND_LIMIT:
-        total = total + (BLUP_RIDGE * np.trace(total) / k) * np.eye(k)
+    ridge = np.where(np.isfinite(cond) & (cond <= BLUP_COND_LIMIT), 0.0, BLUP_RIDGE * trace / k)
+    total = total + ridge[..., None, None] * eye
+    diff = (phibar - stats.tau_bar)[..., None]
     try:
-        gain = np.linalg.solve(total, phibar - stats.tau_bar)
+        gain = np.linalg.solve(total, diff)[..., 0]
     except np.linalg.LinAlgError:
-        total = total + (BLUP_RIDGE * max(np.trace(total), 1.0) / k) * np.eye(k)
-        gain = np.linalg.solve(total, phibar - stats.tau_bar)
-    return stats.sigma_tau @ gain + stats.tau_bar
+        total = total + (BLUP_RIDGE * np.maximum(trace, 1.0) / k)[..., None, None] * eye
+        gain = np.linalg.solve(total, diff)[..., 0]
+    return gain @ stats.sigma_tau.T + stats.tau_bar
 
 
 def _pull_into_range(model: FamilyModel, xi: np.ndarray, tau_bar: np.ndarray) -> np.ndarray:
-    """Shrink ``xi`` along the segment toward ``tau_bar`` until strictly inside
-    the moment range, keeping a small margin off the boundary."""
-    k = xi.size
+    """Shrink each row of ``xi`` along the segment toward ``tau_bar`` until
+    strictly inside the moment range, keeping a small margin off the boundary."""
+    k = xi.shape[-1]
     lo = model.moment_lo[:k] + BLUP_BOX_MARGIN
     hi = model.moment_hi[:k] - BLUP_BOX_MARGIN
-    if np.all(xi > lo) and np.all(xi < hi):
+    inside = np.all((xi > lo) & (xi < hi), axis=-1)
+    if np.all(inside):
         return xi
     d = xi - tau_bar
-    t_max = 1.0
-    for j in range(k):
-        if d[j] > 0:
-            t_max = min(t_max, (hi[j] - tau_bar[j]) / d[j])
-        elif d[j] < 0:
-            t_max = min(t_max, (lo[j] - tau_bar[j]) / d[j])
-    t_max = max(t_max, 0.0)
-    return tau_bar + t_max * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(d > 0, (hi - tau_bar) / d, np.where(d < 0, (lo - tau_bar) / d, np.inf))
+    t_max = np.maximum(np.minimum(reach.min(axis=-1), 1.0), 0.0)
+    return np.where(inside[..., None], xi, tau_bar + t_max[..., None] * d)
 
 
 def fit_blup(model: FamilyModel, obs, k: int, fit_n: int | None = None,
-             theta0=None) -> FitResult:
+             theta0=None):
     """Shrinkage fit in moment coordinates, then mapped back to ``theta``.
 
     ``fit_n`` overrides the sample size entering the within-subpopulation
     covariance; by default it is the number of observations.
     """
-    obs = np.asarray(obs, dtype=float).ravel()
-    phibar = suffstat_average(model, obs, k)
-    check_moment_range(model, phibar)
-    stats = shrinkage_stats(model, k, fit_n if fit_n is not None else obs.size)
-    xi = blup_moment(stats, phibar)
-    xi = _pull_into_range(model, xi, stats.tau_bar)
-    theta = natural_from_moment(model, xi, theta0=theta0)
-    return _finish(model, "BLUP", k, theta, obs)
+    def solve(n, phibar, start):
+        stats = shrinkage_stats(model, k, n if fit_n is None else fit_n)
+        xi = _pull_into_range(model, blup_moment(stats, phibar), stats.tau_bar)
+        return natural_from_moment(model, xi, theta0=start)
+
+    return _fit(model, obs, k, theta0, "BLUP", solve)
 
 
 _FITTERS = {"mle": fit_mle, "map": fit_map, "blup": fit_blup}
@@ -215,43 +282,55 @@ def _fitter(method: str):
 
 
 def fit(model: FamilyModel, obs, method: str, k: int | None = None,
-        k_max: int | None = None) -> FitResult:
+        k_max: int | None = None):
     """Fit ``obs`` by ``method`` (``mle``, ``map`` or ``blup``) at truncation ``k``.
 
     ``k=None`` selects the truncation by AIC over ``1..k_max`` (all retained
-    components when ``k_max`` is None).
+    components when ``k_max`` is None).  One sample gives a
+    :class:`FitResult` or raises; a sequence of samples (see
+    :func:`as_samples`) is fitted in batches of up to ``BATCH_SIZE`` and
+    gives, per sample, a :class:`FitResult` or the ``FIT_ERRORS`` instance
+    it failed with.
     """
+    samples, single = as_samples(obs)
+    if not single and len(samples) > BATCH_SIZE:
+        return [r for i in range(0, len(samples), BATCH_SIZE)
+                for r in fit(model, samples[i:i + BATCH_SIZE], method, k, k_max)]
     if k is None:
         return select_k_aic(model, obs, method,
                             model.n_components if k_max is None else k_max)
     return _fitter(method)(model, obs, k)
 
 
-def select_k_aic(model: FamilyModel, obs, method: str, k_max: int) -> FitResult:
+def select_k_aic(model: FamilyModel, obs, method: str, k_max: int):
     """Fit at every truncation up to ``k_max`` and keep the AIC minimizer.
 
     Truncations where the fit errors are skipped and absent from the trace;
-    ties go to the smallest ``k``.
+    ties go to the smallest ``k``.  All samples are fitted at ``k = 1``, then
+    at ``k = 2`` warm-started from each sample's last successful truncation
+    padded with zeros, and so on.  A sample that fails validation keeps its
+    error.
     """
     fitter = _fitter(method)
     if not 1 <= k_max <= model.n_components:
         raise ValueError(f"k_max must be in [1, {model.n_components}], got {k_max}")
-    trace: list[tuple[int, float]] = []
-    best: FitResult | None = None
-    warm: np.ndarray | None = None
+    s, single = _prepare(model, obs, k_max)
+    m = s.n.size
+    traces: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    best: list[FitResult | None] = [None] * m
+    warm = np.zeros((m, k_max))
     for k in range(1, k_max + 1):
-        theta0 = None
-        if warm is not None:
-            theta0 = np.concatenate([warm, np.zeros(k - warm.size)])
-        try:
-            result = fitter(model, obs, k, theta0=theta0)
-        except (MomentRangeError, NewtonDivergenceError, ZeroPriorVarianceError,
-                np.linalg.LinAlgError):
-            continue
-        warm = result.theta
-        trace.append((k, result.aic))
-        if best is None or result.aic < best.aic:
-            best = result
-    if best is None:
-        raise FitFailedError(f"all truncations 1..{k_max} failed for method {method!r}")
-    return replace(best, aic_trace=tuple(trace))
+        for i, r in enumerate(fitter(model, s, k, theta0=warm[:, :k])):
+            if isinstance(r, FitResult):
+                warm[i, :k] = r.theta
+                traces[i].append((k, r.aic))
+                if best[i] is None or r.aic < best[i].aic:
+                    best[i] = r
+    failed = f"all truncations 1..{k_max} failed for method {method!r}"
+    results = [
+        err if err is not None
+        else FitFailedError(failed) if b is None
+        else replace(b, aic_trace=tuple(trace))
+        for err, b, trace in zip(s.errors, best, traces)
+    ]
+    return _unwrap(results, single)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .fpca import EigenSystem, fit_fpca
 from .grid import Domain, GridFn
@@ -25,6 +24,8 @@ NEWTON_MAX_ITER = 200
 NEWTON_GRAD_TOL = 1e-9
 NEWTON_RIDGE = 1e-10
 ARMIJO_C = 1e-4
+# Armijo slack per unit of the objective's magnitude
+_SLACK = 10.0 * np.finfo(float).eps
 
 # Parameters this large mean the target sits on the attainable boundary and
 # the iterates are running off to infinity; stop early with a diagnostic.
@@ -34,6 +35,10 @@ THETA_DIVERGENCE_BOUND = 500.0
 class MomentRangeError(ValueError):
     """Target moments are not strictly inside the attainable range, so no
     finite maximizer exists."""
+
+    def __init__(self, message: str = "target moments lie on or outside the attainable "
+                                      "range; no finite maximizer exists"):
+        super().__init__(message)
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -58,13 +63,17 @@ class TruncationSummary:
     """Training-side summaries at one truncation ``k``, all read-only: the
     moment coordinates of the training scores (one row per subpopulation),
     their mean and covariance, the mean within-subpopulation covariance of
-    the sample statistic at unit sample size, and the score variances."""
+    the sample statistic at unit sample size, and the score variances.
+    ``phi_outer`` holds the products ``phi_i(t) phi_j(t)`` on the grid, one
+    column per pair ``(i, j)``, so second moments of many densities are one
+    matrix product."""
 
     train_moments: np.ndarray
     tau_bar: np.ndarray
     sigma_tau: np.ndarray
     phibar_base: np.ndarray
     score_vars: np.ndarray
+    phi_outer: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ def _summarize(model: FamilyModel, k: int) -> TruncationSummary:
     the covariance of that sample's statistic mean."""
     phi = model.phi[:, :k]
     w = model.domain.trap_weights
-    taus = _moments_batch(model, k, model.train_scores[:, :k])
+    taus = _moments(model, model.train_scores[:, :k])[2]
     total = np.zeros((k, k))
     for tau, dens in zip(taus, model.train_densities):
         wp = w * dens.values
@@ -155,6 +164,7 @@ def _summarize(model: FamilyModel, k: int) -> TruncationSummary:
         "sigma_tau": 0.5 * (sigma_tau + sigma_tau.T),
         "phibar_base": 0.5 * (base + base.T),
         "score_vars": model.train_scores[:, :k].var(axis=0, ddof=1),
+        "phi_outer": (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), k * k),
     }
     for a in arrays.values():
         a.setflags(write=False)
@@ -165,11 +175,6 @@ def log_trapz_exp(g: np.ndarray, w: np.ndarray) -> float:
     """``log sum_j w_j exp(g_j)`` with the max shifted out; never overflows."""
     m = g.max()
     return float(m + np.log(w @ np.exp(g - m)))
-
-
-def _log_trapz_exp_rows(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    m = g.max(axis=1)
-    return m + np.log(np.exp(g - m[:, None]) @ w)
 
 
 def _check_theta(model: FamilyModel, theta) -> np.ndarray:
@@ -200,42 +205,38 @@ def density(model: FamilyModel, theta) -> GridFn:
     return GridFn(model.domain, np.maximum(vals, 1e-300))
 
 
-def _moments_core(model: FamilyModel, theta: np.ndarray):
-    """Density values, log-normalizer, moments, and second moments in one pass."""
-    k = theta.size
+def _moments(model: FamilyModel, thetas: np.ndarray):
+    """For each row of ``thetas`` (shape ``(m, k)``): the density values times
+    the trapezoid weights, the log-normalizer, and the moment coordinates."""
+    k = thetas.shape[1]
     phi = model.phi[:, :k]
-    w = model.domain.trap_weights
-    g = model.mu_values + phi @ theta
-    b = log_trapz_exp(g, w)
-    p = np.exp(g - b)
-    wp = w * p
-    xi = wp @ phi
-    second = phi.T @ (wp[:, None] * phi)
-    return p, b, xi, second
+    g = model.mu_values + thetas @ phi.T
+    top = g.max(axis=1)
+    wp = np.exp(g - top[:, None]) * model.domain.trap_weights
+    mass = wp.sum(axis=1)
+    wp /= mass[:, None]
+    return wp, top + np.log(mass), wp @ phi
 
 
-def _moments_batch(model: FamilyModel, k: int, thetas: np.ndarray) -> np.ndarray:
-    """Moment coordinates for each row of ``thetas``, shape ``(n, k)``."""
-    phi = model.phi[:, :k]
-    w = model.domain.trap_weights
-    g = model.mu_values[None, :] + thetas @ phi.T
-    b = _log_trapz_exp_rows(g, w)
-    p = np.exp(g - b[:, None])
-    return (p * w[None, :]) @ phi
+def _covariances(phi_outer: np.ndarray, wp: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Covariance of the statistics under each row's density, shape
+    ``(m, k, k)``, from the truncation's ``phi_outer``."""
+    k = xi.shape[1]
+    second = (wp @ phi_outer).reshape(-1, k, k)
+    return second - xi[:, :, None] * xi[:, None, :]
 
 
 def moment_map(model: FamilyModel, theta) -> np.ndarray:
     """Moment coordinates ``xi_k = int phi_k p_theta``; the gradient of ``B``."""
     theta = _check_theta(model, theta)
-    _, _, xi, _ = _moments_core(model, theta)
-    return xi
+    return _moments(model, theta[None])[2][0]
 
 
 def fisher_info(model: FamilyModel, theta) -> np.ndarray:
     """Covariance of the sufficient statistics under ``p_theta`` (Hessian of ``B``)."""
     theta = _check_theta(model, theta)
-    _, _, xi, second = _moments_core(model, theta)
-    m = second - np.outer(xi, xi)
+    wp, _, xi = _moments(model, theta[None])
+    m = _covariances(model.summary(theta.size).phi_outer, wp, xi)[0]
     return 0.5 * (m + m.T)
 
 
@@ -258,26 +259,11 @@ def suffstat_average(model: FamilyModel, obs, k: int) -> np.ndarray:
     )
 
 
-def check_moment_range(model: FamilyModel, xi: np.ndarray) -> None:
-    """Require ``xi`` strictly inside the per-component range of the statistics."""
-    k = xi.size
-    lo = model.moment_lo[:k]
-    hi = model.moment_hi[:k]
-    if np.any(xi <= lo) or np.any(xi >= hi):
-        raise MomentRangeError(
-            "target moments lie on or outside the attainable range; "
-            "no finite maximizer exists"
-        )
-
-
-def _solve_step(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    try:
-        c, low = cho_factor(hess, check_finite=False)
-        return cho_solve((c, low), -grad, check_finite=False)
-    except np.linalg.LinAlgError:
-        # numerically non-PD: regularize the diagonal and retry
-        h = hess + NEWTON_RIDGE * max(np.trace(hess), 1.0) * np.eye(hess.shape[0])
-        return np.linalg.solve(h, -grad)
+def _outside_range(model: FamilyModel, xi: np.ndarray) -> np.ndarray:
+    """Whether each target (last axis) lies on or outside the per-component
+    range of the statistics."""
+    k = xi.shape[-1]
+    return np.any((xi <= model.moment_lo[:k]) | (xi >= model.moment_hi[:k]), axis=-1)
 
 
 def newton_minimize(
@@ -288,75 +274,137 @@ def newton_minimize(
     theta0: np.ndarray | None = None,
     max_iter: int = NEWTON_MAX_ITER,
     grad_tol: float = NEWTON_GRAD_TOL,
-) -> np.ndarray:
+):
     """Minimize ``B(theta) - theta @ target + 0.5 theta' diag(d) theta``.
 
     This convex objective covers plain moment inversion and maximum
     likelihood (``d = 0``) as well as ridge-penalized posteriors.  Damped
     Newton with Armijo backtracking; converges when the gradient max-norm
     drops below ``grad_tol``.
+
+    A ``(k,)`` target is one problem: the minimizer is returned and a
+    failure raises :class:`NewtonDivergenceError`.  An ``(m, k)`` target is
+    ``m`` problems solved together (``diag_penalty`` and ``theta0`` take the
+    shape of ``target``): every row has its own convergence test,
+    line search and failure, and the call returns ``(theta, errors)``, where
+    a failed row of ``theta`` is NaN and ``errors[i]`` is its error or None.
     """
-    d = np.zeros(k) if diag_penalty is None else np.asarray(diag_penalty, dtype=float)
-    theta = np.zeros(k) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    phi = model.phi[:, :k]
-    w = model.domain.trap_weights
-    mu = model.mu_values
+    single = np.ndim(target) == 1
+    target = np.atleast_2d(np.asarray(target, dtype=float))
+    m = target.shape[0]
+    theta = np.full(target.shape, np.nan)
+    errors: list[NewtonDivergenceError | None] = [None] * m
+    phi_outer = model.summary(k).phi_outer
+    diag = np.arange(k)
 
-    def objective(th):
-        b = log_trapz_exp(mu + phi @ th, w)
-        return b - th @ target + 0.5 * (d * th * th).sum()
+    def evaluate(th, tgt, d):
+        """Objective values, weighted densities and moments at the rows ``th``."""
+        wp, b, xi = _moments(model, th)
+        return b + (th * (0.5 * d * th - tgt)).sum(axis=1), wp, xi
 
-    f = objective(theta)
+    def armijo(sel, t):
+        """The rows ``sel`` evaluated at step length ``t``, and which of them
+        decrease the objective enough."""
+        cand = th[sel] + t * step[sel]
+        f_cand, wp_cand, xi_cand = evaluate(cand, tgt[sel], d[sel])
+        ok = f_cand <= f[sel] + ARMIJO_C * t * slope[sel] + slack[sel]
+        return ok, cand, f_cand, wp_cand, xi_cand
+
+    # the rows still iterating: their indices and their compacted state
+    rows = np.arange(m)
+    tgt = target
+    d = np.zeros_like(target)
+    if diag_penalty is not None:
+        d[:] = np.reshape(diag_penalty, target.shape)
+    th = np.zeros_like(target)
+    if theta0 is not None:
+        th[:] = np.reshape(theta0, target.shape)
+    f, wp, xi = evaluate(th, tgt, d)
     for _ in range(max_iter):
-        _, _, xi, second = _moments_core(model, theta)
-        grad = xi - target + d * theta
-        if np.max(np.abs(grad)) < grad_tol:
-            return theta
-        hess = second - np.outer(xi, xi) + np.diag(d)
-        step = _solve_step(hess, grad)
-        slope = float(grad @ step)
-        if slope >= 0:
-            step = -grad
-            slope = float(grad @ step)
-        # allowance for decreases below float resolution, so the final
-        # polishing steps near the optimum are not rejected
-        slack = 10.0 * np.finfo(float).eps * (1.0 + abs(f))
-        t = 1.0
-        while t > 1e-14:
-            cand = theta + t * step
-            f_cand = objective(cand)
-            if f_cand <= f + ARMIJO_C * t * slope + slack:
-                theta = cand
-                f = f_cand
+        grad = xi - tgt + d * th
+        going = np.abs(grad).max(axis=1) >= grad_tol
+        if not going.all():
+            theta[rows[~going]] = th[~going]
+            rows, tgt, d, th, f, wp, xi, grad = (
+                a[going] for a in (rows, tgt, d, th, f, wp, xi, grad))
+            if not rows.size:
                 break
-            t *= 0.5
+        hess = _covariances(phi_outer, wp, xi)
+        if diag_penalty is not None:
+            hess[:, diag, diag] += d
+        try:
+            step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # an exactly singular Hessian: regularize the diagonals and retry
+            ridge = NEWTON_RIDGE * np.maximum(np.trace(hess, axis1=1, axis2=2), 1.0)
+            hess += ridge[:, None, None] * np.eye(k)
+            step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        slope = np.einsum("ij,ij->i", grad, step)
+        uphill = slope >= 0
+        if uphill.any():
+            step[uphill] = -grad[uphill]
+            slope[uphill] = np.einsum("ij,ij->i", grad[uphill], step[uphill])
+        # Changes below the objective's rounding error pass the Armijo test,
+        # so the final polishing steps are not rejected.  The error scales
+        # with B and theta @ target, which near a far-out optimum are much
+        # larger than their difference.
+        slack = _SLACK * (1.0 + np.abs(f) + np.abs(th * tgt).sum(axis=1))
+        # backtracking: the rows that reject a step length halve it together
+        ok, *accepted = armijo(slice(None), 1.0)
+        if ok.all():
+            th, f, wp, xi = accepted
+            search = rows[:0]
         else:
-            raise NewtonDivergenceError(
-                "line search stalled; target may be unattainable"
+            for a, new in zip((th, f, wp, xi), accepted):
+                a[ok] = new[ok]
+            search, t = np.nonzero(~ok)[0], 0.5
+            while search.size and t > 1e-14:
+                ok, *accepted = armijo(search, t)
+                for a, new in zip((th, f, wp, xi), accepted):
+                    a[search[ok]] = new[ok]
+                search, t = search[~ok], 0.5 * t
+        diverged = np.abs(th).max(axis=1) > THETA_DIVERGENCE_BOUND
+        if search.size or diverged.any():
+            for i in rows[diverged]:
+                errors[i] = NewtonDivergenceError(
+                    "iterates diverging; target sits on the attainable boundary")
+            for i in rows[search]:
+                errors[i] = NewtonDivergenceError("line search stalled; target may be unattainable")
+            keep = ~diverged
+            keep[search] = False
+            rows, tgt, d, th, f, wp, xi = (a[keep] for a in (rows, tgt, d, th, f, wp, xi))
+            if not rows.size:
+                break
+    else:
+        for i in rows:
+            errors[i] = NewtonDivergenceError(
+                f"no convergence after {max_iter} iterations; "
+                "target may sit too close to the attainable boundary"
             )
-        if np.max(np.abs(theta)) > THETA_DIVERGENCE_BOUND:
-            raise NewtonDivergenceError(
-                "iterates diverging; target sits on the attainable boundary"
-            )
-    raise NewtonDivergenceError(
-        f"no convergence after {max_iter} iterations; "
-        "target may sit too close to the attainable boundary"
-    )
+    if single:
+        if errors[0] is not None:
+            raise errors[0]
+        return theta[0]
+    return theta, errors
 
 
-def natural_from_moment(
-    model: FamilyModel, xi, theta0: np.ndarray | None = None
-) -> np.ndarray:
-    """Invert the moment map: the ``theta`` with ``moment_map(theta) = xi``."""
-    xi = np.asarray(xi, dtype=float).ravel()
-    if not 1 <= xi.size <= model.n_components:
+def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None):
+    """Invert the moment map: the ``theta`` with ``moment_map(theta) = xi``.
+
+    ``xi`` is one target or a batch, as in :func:`newton_minimize`; every row
+    must be finite and inside the moment range.
+    """
+    xi = np.asarray(xi, dtype=float)
+    k = xi.shape[-1]
+    if xi.ndim not in (1, 2) or not 1 <= k <= model.n_components:
         raise ValueError(
-            f"xi has {xi.size} components, model retains {model.n_components}"
+            f"xi has {k} components, model retains {model.n_components}"
         )
     if not np.all(np.isfinite(xi)):
         raise ValueError("xi must be finite")
-    check_moment_range(model, xi)
-    return newton_minimize(model, xi.size, xi, theta0=theta0)
+    if np.any(_outside_range(model, xi)):
+        raise MomentRangeError()
+    return newton_minimize(model, k, xi, theta0=theta0)
 
 
 def train_family(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FitResult, fit
+from .estimators import as_samples, fit
 from .expfam import FamilyModel, log_trapz_exp, train_family, _check_theta
 from .grid import Domain, GridFn
 from .presmooth import SubpopSample
@@ -96,9 +96,24 @@ def fit_original_scale(
     method: str = "mle",
     k: int | None = None,
     k_max: int | None = None,
-) -> FitResult:
-    """Fit a new original-scale sample; ``k=None`` selects the truncation by AIC."""
-    return fit(m.inner, clamp_log_obs(m, obs_y), method, k=k, k_max=k_max)
+):
+    """Fit new original-scale samples; ``k=None`` selects the truncation by AIC.
+
+    Takes one sample or a sequence, like :func:`repden.estimators.fit`; in a
+    sequence, a sample with a nonpositive response fails on its own.
+    """
+    samples, single = as_samples(obs_y)
+    if single:
+        return fit(m.inner, clamp_log_obs(m, samples[0]), method, k=k, k_max=k_max)
+    logged, outcomes = [], []
+    for y in samples:
+        try:
+            logged.append(clamp_log_obs(m, y))
+            outcomes.append(None)
+        except ValueError as exc:
+            outcomes.append(exc)
+    fits = iter(fit(m.inner, logged, method, k=k, k_max=k_max))
+    return [next(fits) if r is None else r for r in outcomes]
 
 
 def density_original_scale(m: ScaledModel, theta, n_y: int | None = None) -> GridFn:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -98,30 +98,44 @@ def mean_kl(truths: list[GridFn], fits: list[GridFn]) -> EvalReport:
     )
 
 
-def loo_cross_entropy(fit_fn: Callable[[np.ndarray], GridFn], obs) -> float:
-    """Leave-one-out cross-entropy ``-(1/N) sum_j log p_{-j}(X_j)``.
+def loo_score(densities: Iterable[GridFn], obs) -> float:
+    """Leave-one-out cross-entropy ``-(1/N) sum_j log p_{-j}(X_j)`` of given refits.
 
-    ``fit_fn`` maps an observation subset to a density; the held-out point is
-    evaluated by linear interpolation.  Returns ``inf`` when any refit puts
-    zero density on its held-out observation; a failing refit raises
-    :class:`LooRefitError` with the index.
+    ``densities`` yields ``p_{-j}``, fitted without ``obs[j]``, in order of
+    ``j``; each held-out point is evaluated by linear interpolation.  Returns
+    ``inf``, without drawing further densities, at the first refit that puts
+    zero density on its held-out observation.
     """
     obs = np.asarray(obs, dtype=float).ravel()
     n = obs.size
     if n < 2:
         raise ValueError("leave-one-out needs at least two observations")
     logs = np.empty(n)
-    for j in range(n):
-        rest = np.delete(obs, j)
-        try:
-            dens = fit_fn(rest)
-        except Exception as exc:
-            raise LooRefitError(j, str(exc)) from exc
+    for j, dens in zip(range(n), densities):
         pj = float(dens(obs[j]))
         if pj <= 0:
             return math.inf
         logs[j] = math.log(pj)
     return float(-logs.mean())
+
+
+def loo_cross_entropy(fit_fn: Callable[[np.ndarray], GridFn], obs) -> float:
+    """Leave-one-out cross-entropy with each refit made by ``fit_fn``.
+
+    ``fit_fn`` maps an observation subset to a density; see :func:`loo_score`.
+    A failing refit raises :class:`LooRefitError` with the index, chained to
+    the refit's exception.
+    """
+    obs = np.asarray(obs, dtype=float).ravel()
+
+    def refits():
+        for j in range(obs.size):
+            try:
+                yield fit_fn(np.delete(obs, j))
+            except Exception as exc:
+                raise LooRefitError(j, str(exc)) from exc
+
+    return loo_score(refits(), obs)
 
 
 def return_level(p: GridFn, t_years: float) -> float:

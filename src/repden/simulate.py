@@ -68,12 +68,15 @@ def run_replication(
         kls["kde"] = []
         ks["kde"] = []
 
-    for sample, truth in test:
-        for method in methods:
-            result = fit(model, sample.obs, method, k_max=sweep_k)
+    for method in methods:
+        results = fit(model, [sample.obs for sample, _ in test], method, k_max=sweep_k)
+        for (_, truth), result in zip(test, results):
+            if isinstance(result, Exception):
+                raise result
             kls[method].append(kl_div(truth, density(model, result.theta)))
             ks[method].append(result.k)
-        if kde_baseline:
+    if kde_baseline:
+        for sample, truth in test:
             kls["kde"].append(kl_div(truth, kde_fit(sample, domain)))
             ks["kde"].append(0)
 
