@@ -38,7 +38,6 @@ from .logscale import (
     density_original_scale,
     fit_original_scale,
     fit_scaled,
-    parameters_preserved,
 )
 from .metrics import EvalReport, kl_div, loo_cross_entropy, mean_kl, return_level
 from .modelio import load_model, read_samples_csv, save_model, write_samples_csv
@@ -89,7 +88,6 @@ __all__ = [
     "median_bandwidth",
     "moment_map",
     "natural_from_moment",
-    "parameters_preserved",
     "project_scores",
     "quantile_of_density",
     "read_samples_csv",

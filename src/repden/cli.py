@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,18 @@ from .logscale import (
     density_original_scale,
     fit_original_scale,
     fit_scaled,
+    pushforward,
 )
-from .metrics import LooRefitError, loo_cross_entropy, loo_score, return_level
+from .metrics import EvalReport, LooRefitError, loo_cross_entropy, loo_score, return_level
 from .modelio import (
     ModelFormatError,
     SampleFormatError,
     load_model,
     read_samples_csv,
     save_model,
+    write_csv,
     write_density_csv,
+    write_json,
     write_samples_csv,
 )
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
@@ -71,13 +75,42 @@ def domain_bounds(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _int_at_least(least: int, name: str):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise ValueError(text)
+        return n
+
+    parse.__name__ = name
+    return parse
+
+
+positive_int = _int_at_least(1, "positive_int")
+group_count = _int_at_least(2, "group_count")
+grid_size = _int_at_least(16, "grid_size")
+
+
 def size_or_range(text: str) -> int | tuple[int, int]:
+    """A group size, or an inclusive ``lo:hi`` range of them; a KDE needs two points."""
     lo, sep, hi = text.partition(":")
-    return (int(lo), int(hi)) if sep else int(text)
+    if not sep:
+        return group_count(text)
+    lo, hi = group_count(lo), group_count(hi)
+    if lo > hi:
+        raise ValueError(text)
+    return lo, hi
 
 
 def number_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
+
+
+def return_periods(text: str) -> list[float]:
+    periods = number_list(text)
+    if not all(1 < t < math.inf for t in periods):
+        raise ValueError(text)
+    return periods
 
 
 def size_strata(text: str) -> list[tuple[float, float, str]]:
@@ -102,25 +135,9 @@ def positive_float(text: str) -> float:
     return x
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError(text)
-    return n
-
-
-def grid_size(text: str) -> int:
-    n = int(text)
-    if n < 16:
-        raise ValueError(text)
-    return n
-
-
 def _truncation(args, model: FamilyModel) -> tuple[int | None, int]:
     """``(k, k_max)`` from ``--k`` and ``--k-max``; ``k`` is None for the AIC sweep."""
     n = model.n_components
-    if args.k_max is not None and args.k_max < 1:
-        raise UsageError(f"--k-max must be at least 1, got {args.k_max}")
     if args.k != "aic" and not (args.k.isdecimal() and 1 <= int(args.k) <= n):
         raise UsageError(f"--k must be 'aic' or an integer in [1, {n}], got {args.k!r}")
     return (None if args.k == "aic" else int(args.k)), min(args.k_max or n, n)
@@ -138,13 +155,12 @@ def _resolve_threads(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _finite(x) -> bool:
+    return x is not None and math.isfinite(x)
+
+
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-
-
-def _float_or_none(x):
-    return None if x is None or not math.isfinite(x) else float(x)
+    print(json.dumps(payload, indent=1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +262,10 @@ def cmd_fit(args) -> int:
     samples = read_samples_csv(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    method = args.method.lower()
-    if method not in FAMILY_METHODS:
-        raise UsageError(f"--method must be one of {FAMILY_METHODS}, got {args.method!r}")
     k, k_max = _truncation(args, model)
 
     results = []
-    fits = _fit_all(model, scaled, [s.obs for s in samples], method, k, k_max)
+    fits = _fit_all(model, scaled, [s.obs for s in samples], args.method, k, k_max)
     for sample, result in zip(samples, fits):
         if isinstance(result, FIT_ERRORS):
             results.append({"id": sample.id, "status": "error", "error": str(result)})
@@ -263,15 +276,13 @@ def cmd_fit(args) -> int:
     n_failed = sum(1 for r in results if r["status"] == "error")
     payload = {
         "command": "fit",
-        "method": method,
+        "method": args.method,
         "k": args.k,
         "n_fitted": len(results) - n_failed,
         "n_failed": n_failed,
         "results": results,
     }
-    with open(out_dir / "fits.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(out_dir / "fits.json", payload)
     _emit({k: v for k, v in payload.items() if k != "results"} | {"out": str(out_dir)})
     if results and n_failed == len(results):
         raise TotalNumericalFailure("every subpopulation failed to fit")
@@ -283,10 +294,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario not in SCENARIO_KINDS:
-        raise UsageError(
-            f"--scenario must be one of {SCENARIO_KINDS}, got {args.scenario!r}"
-        )
     overrides = {
         key: getattr(args, key)
         for key in ("n_train", "train_size", "n_test", "test_size")
@@ -314,30 +321,19 @@ def cmd_simulate(args) -> int:
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_samples_csv(rep_dir / "train.csv", out.train)
         write_samples_csv(rep_dir / "test.csv", [s for s, _ in out.test])
-        with open(rep_dir / "truths.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("subpop_id,t,density\n")
-            for sample, truth in out.test:
-                for t, v in zip(truth.domain.grid, truth.values):
-                    fh.write(f"{sample.id},{float(t)!r},{float(v)!r}\n")
+        write_csv(rep_dir / "truths.csv", ("subpop_id", "t", "density"), [
+            chain.from_iterable(repeat(s.id, truth.domain.n_grid) for s, truth in out.test),
+            np.concatenate([truth.domain.grid for _, truth in out.test]),
+            np.concatenate([truth.values for _, truth in out.test]),
+        ])
 
-    with open(out_dir / "mkl_per_rep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rep,method,mkl\n")
-        for out in outcomes:
-            for m in methods:
-                fh.write(f"{out.rep},{m},{out.mkl[m]!r}\n")
-
-    summary = {}
-    with open(out_dir / "mkl_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("method,mean,median,sd\n")
-        for m in methods:
-            vals = np.array([out.mkl[m] for out in outcomes])
-            sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-            summary[m] = {
-                "mean": float(vals.mean()),
-                "median": float(np.median(vals)),
-                "sd": sd,
-            }
-            fh.write(f"{m},{summary[m]['mean']!r},{summary[m]['median']!r},{sd!r}\n")
+    table = [(out.rep, m, out.mkl[m]) for out in outcomes for m in methods]
+    write_csv(out_dir / "mkl_per_rep.csv", ("rep", "method", "mkl"), zip(*table))
+    reports = [(m, EvalReport.from_pairs((out.rep, out.mkl[m]) for out in outcomes))
+               for m in methods]
+    table = [(m, r.mean, r.median, r.sd) for m, r in reports]
+    write_csv(out_dir / "mkl_summary.csv", ("method", "mean", "median", "sd"), zip(*table))
+    summary = {m: {"mean": mean, "median": median, "sd": sd} for m, mean, median, sd in table}
 
     _emit(
         {
@@ -357,23 +353,20 @@ def cmd_simulate(args) -> int:
 
 
 def _kde_refit(model, scaled, full_sample: SubpopSample):
-    """KDE refit callback for one subpopulation; evaluates in the data's scale."""
-    domain = model.domain
-    if scaled is not None:
-        h = silverman_bandwidth(SubpopSample(id=full_sample.id, obs=np.log(full_sample.obs)))
-    else:
-        h = silverman_bandwidth(full_sample)
-    cfg = KdeConfig(bandwidth=h)
+    """KDE refit callback for one subpopulation; evaluates in the data's scale.
+
+    On the log scale the sample is clamped once, for the bandwidth and for
+    every refit, which looks its subset up in the clamped values; a refit
+    reaches the response scale through the family fits' pushforward.
+    """
+    y = full_sample.obs
+    x = y if scaled is None else clamp_log_obs(scaled, y)
+    cfg = KdeConfig(bandwidth=silverman_bandwidth(SubpopSample(id=full_sample.id, obs=x)))
 
     def fit_kde(subset: np.ndarray) -> GridFn:
-        if scaled is not None:
-            x = clamp_log_obs(scaled, subset)
-            xdens = weighted_kde(SubpopSample(id="loo", obs=x), cfg, domain)
-            y = np.exp(domain.grid)
-            ydom = Domain(y[0], y[-1], domain.n_grid * 4)
-            vals = np.interp(np.log(ydom.grid), domain.grid, xdens.values) / ydom.grid
-            return GridFn(ydom, vals / (ydom.trap_weights @ vals))
-        return weighted_kde(SubpopSample(id="loo", obs=subset), cfg, domain)
+        sample = SubpopSample(id="loo", obs=x[np.searchsorted(y, subset)])
+        dens = weighted_kde(sample, cfg, model.domain)
+        return dens if scaled is None else pushforward(dens)
 
     return fit_kde
 
@@ -434,55 +427,36 @@ def cmd_evaluate(args) -> int:
     rows = [entries[i, method] for i in range(len(samples)) for method in methods]
 
     if args.loo:
-        with open(out_dir / "loo_per_sample.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("subpop_id,size,stratum,method,loo_ce,finite\n")
-            for r in rows:
-                ce = r.get("loo_ce")
-                finite = ce is not None and math.isfinite(ce)
-                text = repr(float(ce)) if finite else ""
-                fh.write(
-                    f"{r['id']},{r['size']},\"{r['stratum']}\",{r['method']},{text},{int(finite)}\n"
-                )
-
+        table = [(r["id"], r["size"], r["stratum"], r["method"],
+                  r["loo_ce"] if _finite(r["loo_ce"]) else "", int(_finite(r["loo_ce"])))
+                 for r in rows]
+        write_csv(out_dir / "loo_per_sample.csv",
+                  ("subpop_id", "size", "stratum", "method", "loo_ce", "finite"), zip(*table))
     if levels:
-        with open(out_dir / "return_levels.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("subpop_id,method,t_years,level\n")
-            for r in rows:
-                rl = r.get("return_levels")
-                if not rl:
-                    continue
-                for t, lvl in rl.items():
-                    fh.write(f"{r['id']},{r['method']},{t},{lvl!r}\n")
+        table = [(r["id"], r["method"], t, level)
+                 for r in rows for t, level in (r.get("return_levels") or {}).items()]
+        write_csv(out_dir / "return_levels.csv", ("subpop_id", "method", "t_years", "level"),
+                  zip(*table))
 
     summary = {"command": "evaluate", "strata": []}
     for _, _, label in args.strata:
-        block = {"stratum": label, "methods": {}}
+        block = {}
         for method in methods:
-            vals = [
-                r.get("loo_ce")
-                for r in rows
-                if r["stratum"] == label and r["method"] == method and "loo_ce" in r
-            ]
-            finite = [v for v in vals if v is not None and math.isfinite(v)]
-            if not vals:
+            cell = [r for r in rows if r["stratum"] == label and r["method"] == method
+                    and "loo_ce" in r]
+            if not cell:
                 continue
-            arr = np.array(finite)
-            block["methods"][method] = {
-                "n": len(vals),
-                "n_finite": len(finite),
-                "mean": _float_or_none(arr.mean()) if finite else None,
-                "median": _float_or_none(float(np.median(arr))) if finite else None,
-                "sd": (
-                    _float_or_none(float(np.std(arr, ddof=1)))
-                    if len(finite) > 1
-                    else (0.0 if finite else None)
-                ),
-            }
-        if block["methods"]:
-            summary["strata"].append(block)
-    with open(out_dir / "loo_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+            finite = [(r["id"], r["loo_ce"]) for r in cell if _finite(r["loo_ce"])]
+            stats = dict.fromkeys(("mean", "median", "sd"))
+            if finite:
+                report = EvalReport.from_pairs(finite)
+                stats = {"mean": report.mean, "median": report.median, "sd": report.sd}
+            block[method] = {"n": len(cell), "n_finite": len(finite), **stats}
+        if block:
+            summary["strata"].append({"stratum": label, "methods": block})
+    summary["errors"] = [{"id": r["id"], "method": r["method"], "error": r["error"]}
+                         for r in rows if "error" in r]
+    write_json(out_dir / "loo_summary.json", summary)
     _emit(summary | {"out": str(out_dir)})
     return 0
 
@@ -502,7 +476,8 @@ def build_parser() -> _Parser:
     p.add_argument("--domain", type=domain_bounds, help="comma-separated lo,hi of the support")
     p.add_argument("--grid", type=grid_size, default=512,
                    help="grid size, at least 16 (default 512)")
-    p.add_argument("--k-max", type=int, default=10, help="components to retain (default 10)")
+    p.add_argument("--k-max", type=positive_int, default=10,
+                   help="components to retain (default 10)")
     p.add_argument("--bandwidth", type=bandwidth, default="auto",
                    help="KDE bandwidth or 'auto' (median rule)")
     p.add_argument("--min-train-size", type=int, default=2,
@@ -517,25 +492,26 @@ def build_parser() -> _Parser:
     p.add_argument("model", help="model file from 'train'")
     p.add_argument("input", help="sample CSV to fit")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--method", default="mle", help="mle, map, or blup (default mle)")
+    p.add_argument("--method", type=str.lower, choices=FAMILY_METHODS, default="mle",
+                   help="mle, map, or blup (default mle)")
     p.add_argument("--k", default="aic", help="fixed component count or 'aic' (default)")
-    p.add_argument("--k-max", type=int, default=None, help="cap for the AIC sweep")
+    p.add_argument("--k-max", type=positive_int, default=None, help="cap for the AIC sweep")
     p.add_argument("--threads", type=int, default=None,
                    help="ignored: all groups are fitted as one batch")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="run a seeded benchmark scenario")
-    p.add_argument("--scenario", required=True, help="one of " + ", ".join(SCENARIO_KINDS))
+    p.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=positive_int, default=50)
-    p.add_argument("--n-train", type=int, default=None)
+    p.add_argument("--n-train", type=group_count, default=None)
     p.add_argument("--train-size", type=size_or_range, default=None,
-                   help="integer or inclusive lo:hi range")
-    p.add_argument("--n-test", type=int, default=None)
+                   help="integer of at least 2 or inclusive lo:hi range")
+    p.add_argument("--n-test", type=positive_int, default=None)
     p.add_argument("--test-size", type=size_or_range, default=None,
-                   help="integer or inclusive lo:hi range")
-    p.add_argument("--k-max", type=int, default=10)
+                   help="integer of at least 2 or inclusive lo:hi range")
+    p.add_argument("--k-max", type=positive_int, default=10)
     p.add_argument("--grid", type=grid_size, default=512)
     p.add_argument("--bandwidth", type=bandwidth, default="auto")
     p.add_argument("--threads", type=int, default=None,
@@ -547,14 +523,14 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="sample CSV to evaluate")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--loo", action="store_true", help="leave-one-out cross-entropy")
-    p.add_argument("--return-levels", type=number_list, default=[],
+    p.add_argument("--return-levels", type=return_periods, default=[],
                    help="comma-separated return periods in years, e.g. 5,10,20,30")
     p.add_argument("--strata", type=size_strata, default="0,10,35,75",
                    help="comma-separated increasing size breaks b0,...,bn: strata "
                         "(-inf,b0], (b0,b1], ..., (bn,inf] (default 0,10,35,75)")
     p.add_argument("--methods", default="mle,map,blup,kde")
     p.add_argument("--k", default="aic")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=positive_int, default=None)
     p.add_argument("--threads", type=int, default=None,
                    help="ignored: each method's fits run as batches")
     p.set_defaults(func=cmd_evaluate)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import as_samples, fit
-from .expfam import FamilyModel, log_trapz_exp, train_family, _check_theta
+from .expfam import FamilyModel, density, train_family
 from .grid import Domain, GridFn
 from .presmooth import SubpopSample
 
@@ -31,10 +31,6 @@ class ScaledModel:
 
     inner: FamilyModel
     delta: float
-
-    @property
-    def y_domain(self) -> tuple[float, float]:
-        return (float(np.exp(self.inner.domain.lo)), float(np.exp(self.inner.domain.hi)))
 
 
 def fit_scaled(
@@ -116,41 +112,22 @@ def fit_original_scale(
     return [next(fits) if r is None else r for r in outcomes]
 
 
-def density_original_scale(m: ScaledModel, theta, n_y: int | None = None) -> GridFn:
-    """The fitted density carried back to the response scale.
+def pushforward(p_x: GridFn) -> GridFn:
+    """A positive log-scale density carried to the response scale,
+    ``p_Y(y) = p_X(log y) / y``.
 
-    Evaluates the log-scale family density at ``log y`` on a uniform
-    response grid (log-density components linearly interpolated), applies
-    the ``1/y`` Jacobian, and renormalizes under the response-grid
+    The response grid spans ``[exp(lo), exp(hi)]`` with four times as many
+    points as the log-scale grid; ``log p_X`` is interpolated linearly at
+    ``log y``, and the result is renormalized under the response-grid
     trapezoidal rule.
     """
-    model = m.inner
-    theta = _check_theta(model, theta)
-    if n_y is None:
-        n_y = 4 * model.domain.n_grid
-    y_lo, y_hi = m.y_domain
-    ydom = Domain(y_lo, y_hi, n_y)
-    x = np.log(ydom.grid)
-    xg = model.domain.grid
-    g = model.mu_values + model.phi[:, : theta.size] @ theta
-    b = log_trapz_exp(g, model.domain.trap_weights)
-    log_px = np.interp(x, xg, model.mu_values - b)
-    for j in range(theta.size):
-        log_px += theta[j] * np.interp(x, xg, model.phi[:, j])
+    dom = p_x.domain
+    ydom = Domain(float(np.exp(dom.lo)), float(np.exp(dom.hi)), 4 * dom.n_grid)
+    log_px = np.interp(np.log(ydom.grid), dom.grid, np.log(p_x.values))
     vals = np.exp(log_px) / ydom.grid
-    vals = vals / (ydom.trap_weights @ vals)
-    return GridFn(ydom, vals)
+    return GridFn(ydom, vals / (ydom.trap_weights @ vals))
 
 
-def parameters_preserved(m: ScaledModel, obs_y, k: int, method: str = "mle") -> np.ndarray:
-    """Confirm the two fitting routes share one parameter vector.
-
-    Fits the sample through the original-scale wrapper and directly on the
-    log scale; the shared ``theta`` is returned after checking the two
-    agree to machine precision.
-    """
-    via_wrapper = fit_original_scale(m, obs_y, method=method, k=k)
-    direct = fit(m.inner, clamp_log_obs(m, obs_y), method, k=k)
-    if not np.allclose(via_wrapper.theta, direct.theta, rtol=0, atol=1e-10):
-        raise AssertionError("scale wrapper and direct log-scale fit disagree")
-    return via_wrapper.theta
+def density_original_scale(m: ScaledModel, theta) -> GridFn:
+    """The fitted density carried back to the response scale by :func:`pushforward`."""
+    return pushforward(density(m.inner, theta))

@@ -3,14 +3,18 @@
 Models persist as JSON; floats serialize through Python's shortest
 round-trip repr, so parsing reproduces every numeric field bit-exactly.
 Samples travel as a two-column CSV with the exact header
-``subpop_id,value``, UTF-8, LF line endings.
+``subpop_id,value``.  Every file the package writes goes through
+:func:`write_csv` or :func:`write_json`: UTF-8, LF line endings, floats as
+the ``repr`` of Python floats.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -94,10 +98,7 @@ def model_from_dict(payload: dict) -> FamilyModel:
 
 
 def save_model(model: FamilyModel, path) -> None:
-    payload = model_to_dict(model)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> FamilyModel:
@@ -135,16 +136,43 @@ def read_samples_csv(path) -> list[SubpopSample]:
     return [SubpopSample(id=sid, obs=np.array(vals)) for sid, vals in groups.items()]
 
 
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path, header: Iterable[str], columns: Iterable) -> None:
+    """Equal-length columns under a header, one comma-joined row per line.
+
+    A numpy array column is written as floats; in any other column a float
+    is written as its shortest round-trip ``repr`` and other values as
+    ``str``, quoted when they hold a comma, a quote or a line break.
+    Columns may be iterators; rows are formatted as they are written.
+    """
+    # float.__repr__ of a float64 scalar is the repr of the Python float
+    cells = [map(float.__repr__, np.asarray(col, dtype=float).flat)
+             if isinstance(col, np.ndarray) else map(_cell, col) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON indented by one space, with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
 def write_samples_csv(path, samples: list[SubpopSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SAMPLE_HEADER) + "\n")
-        for s in samples:
-            for v in s.obs:
-                fh.write(f"{s.id},{float(v)!r}\n")
+    ids = chain.from_iterable(repeat(s.id, s.size) for s in samples)
+    values = np.concatenate([np.empty(0), *(s.obs for s in samples)])
+    write_csv(path, SAMPLE_HEADER, [ids, values])
 
 
-def write_density_csv(path, fn: GridFn, value_col: str = "density") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"t,{value_col}\n")
-        for t, v in zip(fn.domain.grid, fn.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+def write_density_csv(path, fn: GridFn) -> None:
+    write_csv(path, ("t", "density"), [fn.domain.grid, fn.values])

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .estimators import FAMILY_METHODS, fit
 from .expfam import density, train_family
 from .grid import GridFn
-from .metrics import kl_div
+from .metrics import EvalReport, mean_kl
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
 from .simgen import ScenarioSpec, generate, scenario_domain
 
@@ -29,7 +30,6 @@ class RepOutcome:
     rep: int
     mkl: dict[str, float]
     selected_k: dict[str, tuple[int, ...]]
-    per_sample_kl: dict[str, tuple[float, ...]]
     train: list[SubpopSample]
     test: list[tuple[SubpopSample, GridFn]]
 
@@ -62,45 +62,26 @@ def run_replication(
     model = train_family(train, domain, k_max, bandwidth=bandwidth)
     sweep_k = min(k_max, model.n_components)
 
-    kls: dict[str, list[float]] = {m: [] for m in methods}
-    ks: dict[str, list[int]] = {m: [] for m in methods}
-    if kde_baseline:
-        kls["kde"] = []
-        ks["kde"] = []
-
+    truths = [truth for _, truth in test]
+    reports: dict[str, EvalReport] = {}
+    ks: dict[str, tuple[int, ...]] = {}
     for method in methods:
         results = fit(model, [sample.obs for sample, _ in test], method, k_max=sweep_k)
-        for (_, truth), result in zip(test, results):
+        for result in results:
             if isinstance(result, Exception):
                 raise result
-            kls[method].append(kl_div(truth, density(model, result.theta)))
-            ks[method].append(result.k)
+        reports[method] = mean_kl(truths, [density(model, r.theta) for r in results])
+        ks[method] = tuple(r.k for r in results)
     if kde_baseline:
-        for sample, truth in test:
-            kls["kde"].append(kl_div(truth, kde_fit(sample, domain)))
-            ks["kde"].append(0)
+        reports["kde"] = mean_kl(truths, [kde_fit(sample, domain) for sample, _ in test])
+        ks["kde"] = (0,) * len(test)
 
     return RepOutcome(
         rep=rep,
-        mkl={m: float(np.mean(v)) for m, v in kls.items()},
-        selected_k={m: tuple(v) for m, v in ks.items()},
-        per_sample_kl={m: tuple(v) for m, v in kls.items()},
+        mkl={m: r.mean for m, r in reports.items()},
+        selected_k=ks,
         train=train if keep_data else [],
         test=test if keep_data else [],
-    )
-
-
-def _rep_worker(args) -> RepOutcome:
-    spec, rep, k_max, n_grid, methods, kde_baseline, bandwidth, keep_data = args
-    return run_replication(
-        spec,
-        rep,
-        k_max,
-        n_grid=n_grid,
-        methods=methods,
-        kde_baseline=kde_baseline,
-        bandwidth=bandwidth,
-        keep_data=keep_data,
     )
 
 
@@ -121,11 +102,9 @@ def run_scenario(
     process pool; per-replication seeding keeps the output identical to the
     sequential path.
     """
-    jobs = [
-        (spec, rep, k_max, n_grid, methods, kde_baseline, bandwidth, keep_data)
-        for rep in range(reps)
-    ]
+    run_one = partial(run_replication, spec, k_max=k_max, n_grid=n_grid, methods=methods,
+                      kde_baseline=kde_baseline, bandwidth=bandwidth, keep_data=keep_data)
     if threads <= 1 or reps <= 1:
-        return [_rep_worker(job) for job in jobs]
+        return [run_one(rep) for rep in range(reps)]
     with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
-        return list(pool.map(_rep_worker, jobs))
+        return list(pool.map(run_one, range(reps)))

@@ -1,12 +1,14 @@
-"""Shared builders: hand-made toy families and a small trained model."""
+"""Shared builders (hand-made toy families, a small trained model) and test oracles."""
 
 import numpy as np
 import pytest
 
+from repden.estimators import fit
 from repden.expfam import FamilyModel, ModelMeta, train_family
 from repden.fpca import EigenSystem
 from repden.grid import Domain, GridFn
 from repden.logmap import LogDensityFn
+from repden.logscale import ScaledModel, clamp_log_obs, fit_original_scale
 from repden.simgen import default_spec, generate, scenario_domain
 
 
@@ -83,6 +85,20 @@ def two_component_family(n_grid: int = 4001) -> FamilyModel:
     dom = Domain(0.0, 1.0, n_grid)
     t = dom.grid
     return make_family(dom, [t - 0.5, (t - 0.5) ** 2], eigvals=np.array([1.0, 0.4]))
+
+
+def parameters_preserved(m: ScaledModel, obs_y, k: int, method: str = "mle") -> np.ndarray:
+    """Confirm the two fitting routes share one parameter vector.
+
+    Fits the sample through the original-scale wrapper and directly on the
+    log scale; the shared ``theta`` is returned after checking the two
+    agree to machine precision.
+    """
+    via_wrapper = fit_original_scale(m, obs_y, method=method, k=k)
+    direct = fit(m.inner, clamp_log_obs(m, obs_y), method, k=k)
+    if not np.allclose(via_wrapper.theta, direct.theta, rtol=0, atol=1e-10):
+        raise AssertionError("scale wrapper and direct log-scale fit disagree")
+    return via_wrapper.theta
 
 
 @pytest.fixture(scope="session")

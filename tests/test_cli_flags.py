@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,3 +110,68 @@ def test_programming_errors_propagate(model_and_csv, tmp_path, monkeypatch, argv
     argv = [a.format(model=model, new=new, out=tmp_path / "o") for a in argv]
     with pytest.raises(TypeError, match="programming error"):
         main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--k-max", "0"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--k-max", "0"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--n-test", "0"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--n-train", "1"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--train-size", "1"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--n-train", "10", "--n-test", "3", "--test-size", "1"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
+         "--return-levels", "5,1"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
+         "--return-levels", "0.5"],
+    ],
+)
+def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsys, argv):
+    model, new = model_and_csv
+    train = model.parent / "train.csv"
+    argv = [a.format(model=model, new=new, train=train, out=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def log_model_and_csv(tmp_path_factory):
+    """A log-scale model, and groups of which one holds a nonpositive response."""
+    root = tmp_path_factory.mktemp("cli_log")
+    rng = np.random.default_rng(21)
+    train = [SubpopSample(f"s{i}", np.exp(rng.normal(2.9, 0.3, size=60))) for i in range(8)]
+    write_samples_csv(root / "train.csv", train)
+    model = root / "model.json"
+    assert main(["train", str(root / "train.csv"), "--out", str(model), "--log-scale",
+                 "--grid", "128", "--k-max", "2"]) == 0
+    groups = [SubpopSample("good", np.exp(rng.normal(2.9, 0.3, size=8))),
+              SubpopSample("bad", np.concatenate([[-1.0], np.exp(rng.normal(2.9, 0.3, size=7))]))]
+    write_samples_csv(root / "new.csv", groups)
+    return model, root / "new.csv"
+
+
+def test_evaluate_reports_failure_reasons(log_model_and_csv, tmp_path, capsys):
+    model, new = log_model_and_csv
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["evaluate", str(model), str(new), "--out", str(out), "--loo",
+                     "--methods", "map,kde,blup", "--k", "1", "--return-levels", "5"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    summary = json.loads((out / "loo_summary.json").read_text())
+    assert summary["errors"] == printed["errors"]
+    assert [(e["id"], e["method"]) for e in summary["errors"]] == [
+        ("bad", "map"), ("bad", "kde"), ("bad", "blup"),
+    ]
+    assert all("responses must be positive" in e["error"] for e in summary["errors"])
+    with open(out / "loo_per_sample.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(r["subpop_id"], r["finite"]) for r in rows} == {("good", "1"), ("bad", "0")}

@@ -9,12 +9,11 @@ from repden.logscale import (
     density_original_scale,
     fit_original_scale,
     fit_scaled,
-    parameters_preserved,
 )
 from repden.metrics import kl_div, return_level
 from repden.presmooth import SubpopSample
 
-from conftest import make_family
+from conftest import make_family, parameters_preserved
 
 
 def _lognormal_samples(n_subpops=8, size=60, seed=0):
