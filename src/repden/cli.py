@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +159,8 @@ def _finite(x) -> bool:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=1))
+    json.dump(payload, sys.stdout, indent=1)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +321,15 @@ def cmd_simulate(args) -> int:
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_samples_csv(rep_dir / "train.csv", out.train)
         write_samples_csv(rep_dir / "test.csv", [s for s, _ in out.test])
-        write_csv(rep_dir / "truths.csv", ("subpop_id", "t", "density"), [
-            chain.from_iterable(repeat(s.id, truth.domain.n_grid) for s, truth in out.test),
-            np.concatenate([truth.domain.grid for _, truth in out.test]),
-            np.concatenate([truth.values for _, truth in out.test]),
-        ])
+        write_csv(rep_dir / "truths.csv", ("subpop_id", "t", "density"),
+                  ((s.id, truth.domain.grid, truth.values) for s, truth in out.test))
 
     table = [(out.rep, m, out.mkl[m]) for out in outcomes for m in methods]
-    write_csv(out_dir / "mkl_per_rep.csv", ("rep", "method", "mkl"), zip(*table))
+    write_csv(out_dir / "mkl_per_rep.csv", ("rep", "method", "mkl"), table)
     reports = [(m, EvalReport.from_pairs((out.rep, out.mkl[m]) for out in outcomes))
                for m in methods]
     table = [(m, r.mean, r.median, r.sd) for m, r in reports]
-    write_csv(out_dir / "mkl_summary.csv", ("method", "mean", "median", "sd"), zip(*table))
+    write_csv(out_dir / "mkl_summary.csv", ("method", "mean", "median", "sd"), table)
     summary = {m: {"mean": mean, "median": median, "sd": sd} for m, mean, median, sd in table}
 
     _emit(
@@ -431,12 +428,12 @@ def cmd_evaluate(args) -> int:
                   r["loo_ce"] if _finite(r["loo_ce"]) else "", int(_finite(r["loo_ce"])))
                  for r in rows]
         write_csv(out_dir / "loo_per_sample.csv",
-                  ("subpop_id", "size", "stratum", "method", "loo_ce", "finite"), zip(*table))
+                  ("subpop_id", "size", "stratum", "method", "loo_ce", "finite"), table)
     if levels:
         table = [(r["id"], r["method"], t, level)
                  for r in rows for t, level in (r.get("return_levels") or {}).items()]
         write_csv(out_dir / "return_levels.csv", ("subpop_id", "method", "t_years", "level"),
-                  zip(*table))
+                  table)
 
     summary = {"command": "evaluate", "strata": []}
     for _, _, label in args.strata:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import skew
 
+from repden.expfam import log_trapz_exp
 from repden.grid import Domain, integrate, quantile_of_density
 from repden.logscale import (
     ScaledModel,
@@ -153,3 +154,20 @@ def test_out_of_domain_observations_clamped_with_warning(scaled):
     assert scaled.inner.domain.contains(x)
     with pytest.raises(ValueError):
         clamp_log_obs(scaled, np.array([-1.0]))
+
+
+def test_log_scale_density_keeps_the_floor_of_the_linear_scale():
+    """Where ``exp`` of the log density underflows, the response-scale density
+    is the 1e-300 floor of :func:`repden.expfam.density` divided by ``y``,
+    as on the linear scale, so a held-out point there has a finite score."""
+    m = _uniform_x_scaled(n_grid=20001)
+    theta = np.array([400.0])
+    g = m.inner.mu_values + m.inner.phi[:, 0] * theta[0]
+    log_px = g - log_trapz_exp(g, m.inner.domain.trap_weights)
+    assert np.exp(log_px[0]) == 0.0  # the log density itself underflows at x = 0
+    p = density_original_scale(m, theta)
+    y = p.domain.grid
+    assert integrate(p) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(p.values > 0)
+    assert p.values[0] * y[0] == pytest.approx(1e-300, rel=1e-3)
+    assert -np.log(p.values[0]) == pytest.approx(300 * np.log(10), rel=1e-3)

@@ -42,9 +42,20 @@ def test_csv_cells_quote_separators_and_round_trip(tmp_path):
     assert [s.id for s in read_samples_csv(path)] == ['x,"y"', "plain"]
 
 
-@pytest.mark.parametrize("column", [AWKWARD, np.array(AWKWARD), [np.float64(v) for v in AWKWARD]])
-def test_write_csv_formats_floats_alike_in_any_column(tmp_path, column):
+@pytest.mark.parametrize("blocks", [
+    [(i, v) for i, v in enumerate(AWKWARD)],
+    [(i, np.float64(v)) for i, v in enumerate(AWKWARD)],
+    [(i, np.array([v])) for i, v in enumerate(AWKWARD)],
+])
+def test_write_csv_formats_floats_alike_in_any_block(tmp_path, blocks):
     path = tmp_path / "c.csv"
-    write_csv(path, ("n", "v"), [range(len(AWKWARD)), column])
+    write_csv(path, ("n", "v"), blocks)
     want = "n,v\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(AWKWARD))
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_csv_repeats_scalar_cells_along_array_cells(tmp_path):
+    path = tmp_path / "b.csv"
+    write_csv(path, ("id", "t", "v", "n"), [("a", np.array([0.5, 1.5]), np.array([0.1, 1e16]), 7),
+                                            ("b", 2.5, -0.0, 8)])
+    assert path.read_text(encoding="utf-8") == "id,t,v,n\na,0.5,0.1,7\na,1.5,1e+16,7\nb,2.5,-0.0,8\n"
