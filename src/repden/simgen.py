@@ -66,9 +66,13 @@ class ScenarioSpec:
             if count < 1:
                 raise ValueError(f"{name} must be at least 1, got {count}")
         for name, size in (("train_size", self.train_size), ("test_size", self.test_size)):
-            lo = size[0] if isinstance(size, tuple) else size
-            if lo < 1:
+            if smallest_size(size) < 1:
                 raise ValueError(f"{name} must be at least 1, got {size}")
+
+
+def smallest_size(size: int | tuple[int, int]) -> int:
+    """The smallest sample size a fixed size or ``(lo, hi)`` range can draw."""
+    return size[0] if isinstance(size, tuple) else size
 
 
 def default_spec(kind: str, seed: int, **overrides) -> ScenarioSpec:

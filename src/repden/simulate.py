@@ -20,7 +20,7 @@ from .expfam import density, train_family
 from .grid import GridFn
 from .metrics import EvalReport, mean_kl
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
-from .simgen import ScenarioSpec, generate, scenario_domain
+from .simgen import ScenarioSpec, generate, scenario_domain, smallest_size
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,14 @@ def run_replication(
     bandwidth: float | None = None,
     keep_data: bool = False,
 ) -> RepOutcome:
+    # a one-observation sample has no rule-of-thumb bandwidth; fail here,
+    # not after generating and training
+    needs_two = [("train_size", spec.train_size)]
+    if kde_baseline:
+        needs_two.append(("test_size", spec.test_size))
+    for name, size in needs_two:
+        if smallest_size(size) < 2:
+            raise ValueError(f"{name} must be at least 2 to fit, got {size}")
     seeded = replace(spec, seed=rep_seed(spec.seed, rep))
     train, test = generate(seeded, n_grid=n_grid)
     domain = scenario_domain(spec.kind, n_grid)
