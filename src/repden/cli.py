@@ -15,7 +15,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -178,25 +180,19 @@ def cmd_train(args) -> int:
             f"(threshold {min_size})"
         )
 
-    if args.log_scale:
-        scaled = fit_scaled(
-            usable,
-            k_max=args.k_max,
-            delta=args.delta,
-            bandwidth=args.bandwidth,
-            n_grid=args.grid,
-        )
-        model = scaled.inner
-    else:
-        if args.domain is None:
-            raise UsageError("--domain lo,hi is required unless --log-scale is set")
-        domain = Domain(*args.domain, args.grid)
-        for s in usable:
-            if not domain.contains(s.obs):
-                raise UsageError(
-                    f"subpopulation {s.id!r} has observations outside the declared domain"
-                )
-        model = train_family(usable, domain, args.k_max, bandwidth=args.bandwidth)
+    if not (args.log_scale or args.domain):
+        raise UsageError("--domain lo,hi is required unless --log-scale is set")
+    # the input cannot train a family: nonpositive log-scale responses, groups
+    # outside the domain, no spread to choose a bandwidth from, ...
+    try:
+        if args.log_scale:
+            model = fit_scaled(usable, k_max=args.k_max, delta=args.delta,
+                               bandwidth=args.bandwidth, n_grid=args.grid).inner
+        else:
+            model = train_family(usable, Domain(*args.domain, args.grid), args.k_max,
+                                 bandwidth=args.bandwidth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     model.meta.timestamp = datetime.now(timezone.utc).isoformat()
     save_model(model, args.out)
@@ -219,26 +215,20 @@ def cmd_train(args) -> int:
 # fit
 
 
-def _load_any_model(path) -> tuple[FamilyModel, ScaledModel | None]:
+# A loaded model and its maps between the data's scale and the model's: a
+# batch fit, a fit's density, the observations in and a density out.
+_Loaded = namedtuple("_Loaded", "model fit density obs carry")
+
+
+def _load(path) -> _Loaded:
     model = load_model(path)
-    if model.meta.log_scale:
-        return model, ScaledModel(inner=model, delta=model.meta.delta or 0.5)
-    return model, None
-
-
-def _fit_all(model: FamilyModel, scaled: ScaledModel | None, obs: list[np.ndarray],
-             method: str, k: int | None, k_max: int) -> list:
-    """Fit every sample as one batch: a ``FitResult`` or a fit error per sample."""
-    if scaled is not None:
-        return fit_original_scale(scaled, obs, method=method, k=k, k_max=k_max)
-    return fit(model, obs, method, k=k, k_max=k_max)
-
-
-def _density(model: FamilyModel, scaled: ScaledModel | None, result: FitResult) -> GridFn:
-    """The fitted density in the data's scale."""
-    if scaled is not None:
-        return density_original_scale(scaled, result.theta)
-    return density(model, result.theta)
+    if not model.meta.log_scale:
+        return _Loaded(model, partial(fit, model), lambda r: density(model, r.theta),
+                       lambda y: y, lambda dens: dens)
+    scaled = ScaledModel(model, model.meta.delta)
+    return _Loaded(model, partial(fit_original_scale, scaled),
+                   lambda r: density_original_scale(scaled, r.theta),
+                   partial(clamp_log_obs, scaled), pushforward)
 
 
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
@@ -258,19 +248,22 @@ def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
 
 
 def cmd_fit(args) -> int:
-    model, scaled = _load_any_model(args.model)
+    loaded = _load(args.model)
     samples = read_samples_csv(args.input)
+    for s in samples:
+        if any(c and c in s.id for c in (os.sep, os.altsep, "\0")):
+            raise SampleFormatError(f"subpopulation id {s.id!r} cannot name a density file")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k, k_max = _truncation(args, model)
+    k, k_max = _truncation(args, loaded.model)
 
     results = []
-    fits = _fit_all(model, scaled, [s.obs for s in samples], args.method, k, k_max)
+    fits = loaded.fit([s.obs for s in samples], args.method, k=k, k_max=k_max)
     for sample, result in zip(samples, fits):
         if isinstance(result, FIT_ERRORS):
             results.append({"id": sample.id, "status": "error", "error": str(result)})
             continue
-        write_density_csv(out_dir / f"density_{sample.id}.csv", _density(model, scaled, result))
+        write_density_csv(out_dir / f"density_{sample.id}.csv", loaded.density(result))
         results.append(_result_payload(sample, result))
 
     n_failed = sum(1 for r in results if r["status"] == "error")
@@ -349,26 +342,25 @@ def cmd_simulate(args) -> int:
 # evaluate
 
 
-def _kde_refit(model, scaled, full_sample: SubpopSample):
+def _kde_refit(loaded: _Loaded, full_sample: SubpopSample):
     """KDE refit callback for one subpopulation; evaluates in the data's scale.
 
-    On the log scale the sample is clamped once, for the bandwidth and for
-    every refit, which looks its subset up in the clamped values; a refit
-    reaches the response scale through the family fits' pushforward.
+    The sample is taken to the model's scale once, for the bandwidth and for
+    every refit, which looks its subset up in the mapped values; a refit
+    reaches the data's scale through the same carry as the family fits.
     """
     y = full_sample.obs
-    x = y if scaled is None else clamp_log_obs(scaled, y)
+    x = loaded.obs(y)
     cfg = KdeConfig(bandwidth=silverman_bandwidth(SubpopSample(id=full_sample.id, obs=x)))
 
     def fit_kde(subset: np.ndarray) -> GridFn:
         sample = SubpopSample(id="loo", obs=x[np.searchsorted(y, subset)])
-        dens = weighted_kde(sample, cfg, model.domain)
-        return dens if scaled is None else pushforward(dens)
+        return loaded.carry(weighted_kde(sample, cfg, loaded.model.domain))
 
     return fit_kde
 
 
-def _loo_entry(model, scaled, sample: SubpopSample, method: str, k, k_max) -> dict:
+def _loo_entry(loaded: _Loaded, sample: SubpopSample, method: str, k, k_max) -> dict:
     """The leave-one-out cross-entropy of one sample under one method, or the
     fit error that stopped it; any other error propagates.
 
@@ -379,13 +371,13 @@ def _loo_entry(model, scaled, sample: SubpopSample, method: str, k, k_max) -> di
         n, refits = sample.size, []
         for lo in range(0, n, BATCH_SIZE):
             subsets = [np.delete(sample.obs, j) for j in range(lo, min(lo + BATCH_SIZE, n))]
-            refits += _fit_all(model, scaled, subsets, method, k, k_max)
+            refits += loaded.fit(subsets, method, k=k, k_max=k_max)
         for j, r in enumerate(refits):
             if isinstance(r, FIT_ERRORS):
                 return {"loo_ce": None, "error": str(LooRefitError(j, str(r)))}
-        return {"loo_ce": loo_score((_density(model, scaled, r) for r in refits), sample.obs)}
+        return {"loo_ce": loo_score(map(loaded.density, refits), sample.obs)}
     try:
-        return {"loo_ce": loo_cross_entropy(_kde_refit(model, scaled, sample), sample.obs)}
+        return {"loo_ce": loo_cross_entropy(_kde_refit(loaded, sample), sample.obs)}
     except (LooRefitError, *FIT_ERRORS) as exc:
         if isinstance(exc, LooRefitError) and not isinstance(exc.__cause__, FIT_ERRORS):
             raise
@@ -393,7 +385,7 @@ def _loo_entry(model, scaled, sample: SubpopSample, method: str, k, k_max) -> di
 
 
 def cmd_evaluate(args) -> int:
-    model, scaled = _load_any_model(args.model)
+    loaded = _load(args.model)
     samples = read_samples_csv(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,24 +393,24 @@ def cmd_evaluate(args) -> int:
     for m in methods:
         if m not in FAMILY_METHODS + ("kde",):
             raise UsageError(f"unknown method {m!r} in --methods")
-    k, k_max = _truncation(args, model)
+    k, k_max = _truncation(args, loaded.model)
     levels = args.return_levels
 
     entries = {}
     for method in methods:
         fits = []
         if levels and method != "kde":
-            fits = _fit_all(model, scaled, [s.obs for s in samples], method, k, k_max)
+            fits = loaded.fit([s.obs for s in samples], method, k=k, k_max=k_max)
         for i, sample in enumerate(samples):
             entry = {"id": sample.id, "size": sample.size, "method": method,
                      "stratum": next(lab for lo, hi, lab in args.strata if lo < sample.size <= hi)}
             if args.loo:
-                entry |= _loo_entry(model, scaled, sample, method, k, k_max)
+                entry |= _loo_entry(loaded, sample, method, k, k_max)
             if fits and isinstance(fits[i], FIT_ERRORS):
                 entry["return_levels"] = None
                 entry.setdefault("error", str(fits[i]))
             elif fits:
-                dens = _density(model, scaled, fits[i])
+                dens = loaded.density(fits[i])
                 entry["return_levels"] = {f"{t:g}": return_level(dens, t) for t in levels}
             entries[i, method] = entry
     rows = [entries[i, method] for i in range(len(samples)) for method in methods]

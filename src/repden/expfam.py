@@ -272,15 +272,13 @@ def newton_minimize(
     target: np.ndarray,
     diag_penalty: np.ndarray | None = None,
     theta0: np.ndarray | None = None,
-    max_iter: int = NEWTON_MAX_ITER,
-    grad_tol: float = NEWTON_GRAD_TOL,
 ):
     """Minimize ``B(theta) - theta @ target + 0.5 theta' diag(d) theta``.
 
     This convex objective covers plain moment inversion and maximum
     likelihood (``d = 0``) as well as ridge-penalized posteriors.  Damped
     Newton with Armijo backtracking; converges when the gradient max-norm
-    drops below ``grad_tol``.
+    drops below ``NEWTON_GRAD_TOL``.
 
     A ``(k,)`` target is one problem: the minimizer is returned and a
     failure raises :class:`NewtonDivergenceError`.  An ``(m, k)`` target is
@@ -320,9 +318,9 @@ def newton_minimize(
     if theta0 is not None:
         th[:] = np.reshape(theta0, target.shape)
     f, wp, xi = evaluate(th, tgt, d)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         grad = xi - tgt + d * th
-        going = np.abs(grad).max(axis=1) >= grad_tol
+        going = np.abs(grad).max(axis=1) >= NEWTON_GRAD_TOL
         if not going.all():
             theta[rows[~going]] = th[~going]
             rows, tgt, d, th, f, wp, xi, grad = (
@@ -378,7 +376,7 @@ def newton_minimize(
     else:
         for i in rows:
             errors[i] = NewtonDivergenceError(
-                f"no convergence after {max_iter} iterations; "
+                f"no convergence after {NEWTON_MAX_ITER} iterations; "
                 "target may sit too close to the attainable boundary"
             )
     if single:

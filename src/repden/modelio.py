@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from itertools import repeat
+from math import isfinite
 from pathlib import Path
 from typing import Iterable
 
@@ -68,7 +69,7 @@ def model_from_dict(payload: dict) -> FamilyModel:
     try:
         version = payload["format_version"]
         if version != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported format version {version}")
+            raise ValueError(f"unsupported format version {version}")
         dom = payload["domain"]
         domain = Domain(float(dom["lo"]), float(dom["hi"]), int(dom["n_grid"]))
         mu = LogDensityFn(GridFn(domain, np.array(payload["mu"], dtype=float)))
@@ -92,9 +93,9 @@ def model_from_dict(payload: dict) -> FamilyModel:
             seed=prov.get("seed"),
             timestamp=prov.get("timestamp"),
         )
-    except (KeyError, TypeError) as exc:
+        return FamilyModel(sys=sys, domain=domain, train_densities=densities, meta=meta)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
-    return FamilyModel(sys=sys, domain=domain, train_densities=densities, meta=meta)
 
 
 def save_model(model: FamilyModel, path) -> None:
@@ -130,6 +131,8 @@ def read_samples_csv(path) -> list[SubpopSample]:
                 value = float(raw)
             except ValueError as exc:
                 raise SampleFormatError(f"line {lineno}: bad value {raw!r}") from exc
+            if not isfinite(value):
+                raise SampleFormatError(f"line {lineno}: non-finite value {raw!r}")
             groups.setdefault(sid, []).append(value)
     if not groups:
         raise SampleFormatError(f"no sample rows in {Path(path)}")

@@ -121,9 +121,8 @@ def truth_gauss_mixture(domain: Domain, weights, means, sds) -> GridFn:
     return _normalize(domain, raw)
 
 
-def truth_rand_intercept(domain: Domain, a: float, heavy_tail: bool, sigma_e: float = 1.0) -> GridFn:
-    t = domain.grid
-    z = (t - a) / sigma_e
+def truth_rand_intercept(domain: Domain, a: float, heavy_tail: bool) -> GridFn:
+    z = domain.grid - a
     if heavy_tail:
         # t density with 3 degrees of freedom, up to normalization
         raw = (1.0 + z * z / 3.0) ** -2
