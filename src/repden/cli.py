@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitResult, fit
-from .expfam import FamilyModel, density, train_family
+from .estimators import BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitResult, fit, loo_subsets
+from .expfam import FamilyModel, density, density_values, train_family
 from .grid import Domain, GridFn
 from .logscale import (
     ScaledModel,
@@ -32,7 +32,7 @@ from .logscale import (
     density_original_scale,
     fit_original_scale,
     fit_scaled,
-    pushforward,
+    pushforward_values,
 )
 from .metrics import EvalReport, LooRefitError, loo_cross_entropy, loo_score, return_level
 from .modelio import (
@@ -48,7 +48,6 @@ from .modelio import (
 )
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
 from .simgen import SCENARIO_KINDS, default_spec
-from .simulate import run_scenario
 
 THREADS_ENV = "REPDEN_THREADS"
 
@@ -216,7 +215,8 @@ def cmd_train(args) -> int:
 
 
 # A loaded model and its maps between the data's scale and the model's: a
-# batch fit, a fit's density, the observations in and a density out.
+# batch fit, a fit's density, the observations in, and densities out (a
+# domain and rows of values on it, to a domain and rows of values).
 _Loaded = namedtuple("_Loaded", "model fit density obs carry")
 
 
@@ -224,11 +224,11 @@ def _load(path) -> _Loaded:
     model = load_model(path)
     if not model.meta.log_scale:
         return _Loaded(model, partial(fit, model), lambda r: density(model, r.theta),
-                       lambda y: y, lambda dens: dens)
+                       lambda y: y, lambda dom, values: (dom, values))
     scaled = ScaledModel(model, model.meta.delta)
     return _Loaded(model, partial(fit_original_scale, scaled),
                    lambda r: density_original_scale(scaled, r.theta),
-                   partial(clamp_log_obs, scaled), pushforward)
+                   partial(clamp_log_obs, scaled), pushforward_values)
 
 
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
@@ -287,6 +287,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here: its process pool loads multiprocessing, which the other
+    # commands never use
+    from .simulate import run_scenario
+
     overrides = {
         key: getattr(args, key)
         for key in ("n_train", "train_size", "n_test", "test_size")
@@ -355,33 +359,71 @@ def _kde_refit(loaded: _Loaded, full_sample: SubpopSample):
 
     def fit_kde(subset: np.ndarray) -> GridFn:
         sample = SubpopSample(id="loo", obs=x[np.searchsorted(y, subset)])
-        return loaded.carry(weighted_kde(sample, cfg, loaded.model.domain))
+        kde = weighted_kde(sample, cfg, loaded.model.domain)
+        dom, values = loaded.carry(kde.domain, kde.values[None])
+        return GridFn(dom, values[0])
 
     return fit_kde
 
 
-def _loo_entry(loaded: _Loaded, sample: SubpopSample, method: str, k, k_max) -> dict:
-    """The leave-one-out cross-entropy of one sample under one method, or the
-    fit error that stopped it; any other error propagates.
-
-    A family method refits the leave-one-out subsets in batches of
-    ``BATCH_SIZE``, which bounds the subsets held at once.
-    """
-    if method != "kde":
-        n, refits = sample.size, []
-        for lo in range(0, n, BATCH_SIZE):
-            subsets = [np.delete(sample.obs, j) for j in range(lo, min(lo + BATCH_SIZE, n))]
-            refits += loaded.fit(subsets, method, k=k, k_max=k_max)
-        for j, r in enumerate(refits):
-            if isinstance(r, FIT_ERRORS):
-                return {"loo_ce": None, "error": str(LooRefitError(j, str(r)))}
-        return {"loo_ce": loo_score(map(loaded.density, refits), sample.obs)}
+def _loo_kde(loaded: _Loaded, sample: SubpopSample) -> dict:
+    """The KDE leave-one-out cross-entropy of one sample, or the fit error
+    that stopped it; any other error propagates."""
     try:
         return {"loo_ce": loo_cross_entropy(_kde_refit(loaded, sample), sample.obs)}
     except (LooRefitError, *FIT_ERRORS) as exc:
         if isinstance(exc, LooRefitError) and not isinstance(exc.__cause__, FIT_ERRORS):
             raise
         return {"loo_ce": None, "error": str(exc)}
+
+
+def _held_out(loaded: _Loaded, refits: list[FitResult], obs: np.ndarray) -> np.ndarray:
+    """Each refit's density in the data's scale at its held-out value.
+
+    Refits of one truncation share their densities' computation, in blocks
+    of ``BATCH_SIZE``, by the arithmetic of ``density`` and the carry.
+    """
+    ks = np.array([r.k for r in refits])
+    held = np.empty(len(refits))
+    for k in np.unique(ks):
+        rows = np.flatnonzero(ks == k)
+        for block in (rows[i:i + BATCH_SIZE] for i in range(0, rows.size, BATCH_SIZE)):
+            thetas = np.array([refits[j].theta for j in block])
+            dom, values = loaded.carry(loaded.model.domain, density_values(loaded.model, thetas))
+            held[block] = [np.interp(obs[j], dom.grid, v) for j, v in zip(block, values)]
+    return held
+
+
+def _loo_family(loaded: _Loaded, samples: list[SubpopSample], method: str, k, k_max) -> list:
+    """The leave-one-out entry of every sample under one family method: its
+    cross-entropy, or the error of its first refit that failed.
+
+    The refits of all samples are solved as one batch, reduced from one
+    interpolation pass per sample (``loo_subsets``).  A sample that cannot
+    be taken to the model's scale as a whole has its subsets refitted one
+    by one instead, so each keeps the error it gives on its own.
+    """
+    refits, mapped = [None] * len(samples), []
+    for i, s in enumerate(samples):
+        try:
+            mapped.append((i, loaded.obs(s.obs)))
+        except ValueError:
+            refits[i] = loaded.fit([np.delete(s.obs, j) for j in range(s.size)],
+                                   method, k=k, k_max=k_max)
+    if mapped:
+        batch = loo_subsets(loaded.model, [x for _, x in mapped], k or k_max)
+        fits = iter(fit(loaded.model, batch, method, k=k, k_max=k_max))
+        for i, x in mapped:
+            refits[i] = [next(fits) for _ in range(x.size)]
+    entries = []
+    for s, rs in zip(samples, refits):
+        failed = next((j for j, r in enumerate(rs) if isinstance(r, FIT_ERRORS)), None)
+        if failed is None:
+            entries.append({"loo_ce": loo_score(_held_out(loaded, rs, s.obs), s.size)})
+        else:
+            entries.append({"loo_ce": None,
+                            "error": str(LooRefitError(failed, str(rs[failed])))})
+    return entries
 
 
 def cmd_evaluate(args) -> int:
@@ -398,14 +440,18 @@ def cmd_evaluate(args) -> int:
 
     entries = {}
     for method in methods:
-        fits = []
+        fits, loo = [], []
         if levels and method != "kde":
             fits = loaded.fit([s.obs for s in samples], method, k=k, k_max=k_max)
+        if args.loo and method == "kde":
+            loo = [_loo_kde(loaded, s) for s in samples]
+        elif args.loo:
+            loo = _loo_family(loaded, samples, method, k, k_max)
         for i, sample in enumerate(samples):
             entry = {"id": sample.id, "size": sample.size, "method": method,
                      "stratum": next(lab for lo, hi, lab in args.strata if lo < sample.size <= hi)}
             if args.loo:
-                entry |= _loo_entry(loaded, sample, method, k, k_max)
+                entry |= loo[i]
             if fits and isinstance(fits[i], FIT_ERRORS):
                 entry["return_levels"] = None
                 entry.setdefault("error", str(fits[i]))

@@ -196,33 +196,55 @@ def log_normalizer(model: FamilyModel, theta) -> float:
     return log_trapz_exp(g, model.domain.trap_weights)
 
 
+def rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` computed as one product per row of ``x`` (last axis).
+
+    A batched gemm's blocking, and the BLAS threads it runs on, depend on
+    the number of rows, so a row's result would depend on the rest of its
+    batch; one product per row gives the same bits in any batch.
+    """
+    return np.matmul(x[..., None, :], m)[..., 0, :]
+
+
+def _exponent(model: FamilyModel, thetas: np.ndarray) -> np.ndarray:
+    """``mu + phi @ theta`` on the grid for each row of ``thetas``, shape ``(m, G)``."""
+    phi_t = np.ascontiguousarray(model.phi[:, : thetas.shape[1]].T)
+    return model.mu_values + rowwise(thetas, phi_t)
+
+
+def density_values(model: FamilyModel, thetas: np.ndarray) -> np.ndarray:
+    """Family density values on the grid for each row of ``thetas`` (shape
+    ``(m, k)``), normalized max-shifted under the trapezoidal rule and
+    floored at 1e-300; :func:`density` is one such row."""
+    g = _exponent(model, thetas)
+    top = g.max(axis=1)
+    w = model.domain.trap_weights
+    b = top + np.log(rowwise(np.exp(g - top[:, None]), w[:, None])[:, 0])
+    return np.maximum(np.exp(g - b[:, None]), 1e-300)
+
+
 def density(model: FamilyModel, theta) -> GridFn:
     """The family density for natural parameter ``theta`` on the model grid."""
     theta = _check_theta(model, theta)
-    g = model.mu_values + model.phi[:, : theta.size] @ theta
-    b = log_trapz_exp(g, model.domain.trap_weights)
-    vals = np.exp(g - b)
-    return GridFn(model.domain, np.maximum(vals, 1e-300))
+    return GridFn(model.domain, density_values(model, theta[None])[0])
 
 
 def _moments(model: FamilyModel, thetas: np.ndarray):
     """For each row of ``thetas`` (shape ``(m, k)``): the density values times
     the trapezoid weights, the log-normalizer, and the moment coordinates."""
-    k = thetas.shape[1]
-    phi = model.phi[:, :k]
-    g = model.mu_values + thetas @ phi.T
+    g = _exponent(model, thetas)
     top = g.max(axis=1)
     wp = np.exp(g - top[:, None]) * model.domain.trap_weights
     mass = wp.sum(axis=1)
     wp /= mass[:, None]
-    return wp, top + np.log(mass), wp @ phi
+    return wp, top + np.log(mass), rowwise(wp, model.phi[:, : thetas.shape[1]])
 
 
 def _covariances(phi_outer: np.ndarray, wp: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Covariance of the statistics under each row's density, shape
     ``(m, k, k)``, from the truncation's ``phi_outer``."""
     k = xi.shape[1]
-    second = (wp @ phi_outer).reshape(-1, k, k)
+    second = rowwise(wp, phi_outer).reshape(-1, k, k)
     return second - xi[:, :, None] * xi[:, None, :]
 
 
@@ -240,8 +262,8 @@ def fisher_info(model: FamilyModel, theta) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def suffstat_average(model: FamilyModel, obs, k: int) -> np.ndarray:
-    """Per-component mean of the eigenfunctions over the observations.
+def suffstat_values(model: FamilyModel, obs, k: int) -> np.ndarray:
+    """The eigenfunctions ``1..k`` at each observation, shape ``(k, N)``.
 
     Eigenfunctions are evaluated off-grid by linear interpolation, matching
     the order of the trapezoidal quadrature.
@@ -254,9 +276,12 @@ def suffstat_average(model: FamilyModel, obs, k: int) -> np.ndarray:
     if not 1 <= k <= model.n_components:
         raise ValueError(f"k must be in [1, {model.n_components}], got {k}")
     grid = model.domain.grid
-    return np.array(
-        [np.interp(obs, grid, model.phi[:, j]).mean() for j in range(k)]
-    )
+    return np.array([np.interp(obs, grid, model.phi[:, j]) for j in range(k)])
+
+
+def suffstat_average(model: FamilyModel, obs, k: int) -> np.ndarray:
+    """Per-component mean of the eigenfunctions over the observations."""
+    return suffstat_values(model, obs, k).mean(axis=1)
 
 
 def _outside_range(model: FamilyModel, xi: np.ndarray) -> np.ndarray:

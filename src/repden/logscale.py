@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import as_samples, fit
-from .expfam import FamilyModel, density, train_family
+from .expfam import FamilyModel, density, rowwise, train_family
 from .grid import Domain, GridFn
 from .presmooth import SubpopSample
 
@@ -112,20 +112,26 @@ def fit_original_scale(
     return [next(fits) if r is None else r for r in outcomes]
 
 
-def pushforward(p_x: GridFn) -> GridFn:
-    """A positive log-scale density carried to the response scale,
-    ``p_Y(y) = p_X(log y) / y``.
+def pushforward_values(dom: Domain, px: np.ndarray) -> tuple[Domain, np.ndarray]:
+    """Positive log-scale densities carried to the response scale,
+    ``p_Y(y) = p_X(log y) / y``, for each row of ``px`` (values on ``dom``).
 
     The response grid spans ``[exp(lo), exp(hi)]`` with four times as many
     points as the log-scale grid; ``log p_X`` is interpolated linearly at
-    ``log y``, and the result is renormalized under the response-grid
-    trapezoidal rule.
+    ``log y``, and each row is renormalized under the response-grid
+    trapezoidal rule.  Returns the response domain and the ``(m, 4G)`` values.
     """
-    dom = p_x.domain
     ydom = Domain(float(np.exp(dom.lo)), float(np.exp(dom.hi)), 4 * dom.n_grid)
-    log_px = np.interp(np.log(ydom.grid), dom.grid, np.log(p_x.values))
-    vals = np.exp(log_px) / ydom.grid
-    return GridFn(ydom, vals / (ydom.trap_weights @ vals))
+    log_y = np.log(ydom.grid)
+    vals = np.exp([np.interp(log_y, dom.grid, row) for row in np.log(px)]) / ydom.grid
+    return ydom, vals / rowwise(vals, ydom.trap_weights[:, None])
+
+
+def pushforward(p_x: GridFn) -> GridFn:
+    """A positive log-scale density carried to the response scale by
+    :func:`pushforward_values`."""
+    ydom, vals = pushforward_values(p_x.domain, p_x.values[None])
+    return GridFn(ydom, vals[0])
 
 
 def density_original_scale(m: ScaledModel, theta) -> GridFn:

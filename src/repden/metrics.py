@@ -98,21 +98,17 @@ def mean_kl(truths: list[GridFn], fits: list[GridFn]) -> EvalReport:
     )
 
 
-def loo_score(densities: Iterable[GridFn], obs) -> float:
-    """Leave-one-out cross-entropy ``-(1/N) sum_j log p_{-j}(X_j)`` of given refits.
+def loo_score(held_out: Iterable[float], n: int) -> float:
+    """Leave-one-out cross-entropy ``-(1/N) sum_j log p_{-j}(X_j)``.
 
-    ``densities`` yields ``p_{-j}``, fitted without ``obs[j]``, in order of
-    ``j``; each held-out point is evaluated by linear interpolation.  Returns
-    ``inf``, without drawing further densities, at the first refit that puts
-    zero density on its held-out observation.
+    ``held_out`` yields ``p_{-j}(X_j)``, the density fitted without
+    observation ``j`` at that observation, in order of ``j``.  Returns
+    ``inf``, without drawing further values, at the first that is zero.
     """
-    obs = np.asarray(obs, dtype=float).ravel()
-    n = obs.size
     if n < 2:
         raise ValueError("leave-one-out needs at least two observations")
     logs = np.empty(n)
-    for j, dens in zip(range(n), densities):
-        pj = float(dens(obs[j]))
+    for j, pj in zip(range(n), held_out):
         if pj <= 0:
             return math.inf
         logs[j] = math.log(pj)
@@ -122,20 +118,22 @@ def loo_score(densities: Iterable[GridFn], obs) -> float:
 def loo_cross_entropy(fit_fn: Callable[[np.ndarray], GridFn], obs) -> float:
     """Leave-one-out cross-entropy with each refit made by ``fit_fn``.
 
-    ``fit_fn`` maps an observation subset to a density; see :func:`loo_score`.
-    A failing refit raises :class:`LooRefitError` with the index, chained to
+    ``fit_fn`` maps an observation subset to a density, evaluated at the
+    held-out point by linear interpolation; see :func:`loo_score`.  A
+    failing refit raises :class:`LooRefitError` with the index, chained to
     the refit's exception.
     """
     obs = np.asarray(obs, dtype=float).ravel()
 
-    def refits():
+    def held_out():
         for j in range(obs.size):
             try:
-                yield fit_fn(np.delete(obs, j))
+                dens = fit_fn(np.delete(obs, j))
             except Exception as exc:
                 raise LooRefitError(j, str(exc)) from exc
+            yield float(dens(obs[j]))
 
-    return loo_score(refits(), obs)
+    return loo_score(held_out(), obs.size)
 
 
 def return_level(p: GridFn, t_years: float) -> float:
