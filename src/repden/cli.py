@@ -319,7 +319,7 @@ def cmd_simulate(args) -> int:
         write_samples_csv(rep_dir / "train.csv", out.train)
         write_samples_csv(rep_dir / "test.csv", [s for s, _ in out.test])
         write_csv(rep_dir / "truths.csv", ("subpop_id", "t", "density"),
-                  ((s.id, truth.domain.grid, truth.values) for s, truth in out.test))
+                  ((s.id, truth.domain, truth.values) for s, truth in out.test))
 
     table = [(out.rep, m, out.mkl[m]) for out in outcomes for m in methods]
     write_csv(out_dir / "mkl_per_rep.csv", ("rep", "method", "mkl"), table)

@@ -355,14 +355,16 @@ def select_k_aic(model: FamilyModel, obs, method: str, k_max: int):
     m = s.n.size
     traces: list[list[tuple[int, float]]] = [[] for _ in range(m)]
     best: list[FitResult | None] = [None] * m
+    best_aic = [0.0] * m
     warm = np.zeros((m, k_max))
     for k in range(1, k_max + 1):
         for i, r in enumerate(fitter(model, s, k, theta0=warm[:, :k])):
             if isinstance(r, FitResult):
                 warm[i, :k] = r.theta
-                traces[i].append((k, r.aic))
-                if best[i] is None or r.aic < best[i].aic:
-                    best[i] = r
+                aic = r.aic
+                traces[i].append((k, aic))
+                if best[i] is None or aic < best_aic[i]:
+                    best[i], best_aic[i] = r, aic
     failed = f"all truncations 1..{k_max} failed for method {method!r}"
     results = [
         err if err is not None

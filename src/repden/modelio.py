@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
 from itertools import repeat
 from math import isfinite
 from pathlib import Path
@@ -148,27 +149,39 @@ def _cell(value) -> str:
     return text
 
 
+@lru_cache(maxsize=8)
+def _grid_strings(domain: Domain, key: str) -> tuple[str, ...]:
+    # ``key`` is repr(domain): Domain(-1, -0.0) == Domain(-1, 0.0), but their
+    # last grid points print differently
+    return tuple(map(repr, domain.grid.tolist()))
+
+
 def write_csv(path, header: Iterable[str], blocks: Iterable[tuple]) -> None:
     """Rows under a header, one comma-joined line each, given in blocks.
 
     A block is a tuple of cells.  A float array cell spans as many rows as
     it has values, and the block's other cells repeat on each of them; all
     array cells of a block have the same length, and a block without one
-    is a single row.  A float, numpy ``float64`` included, is written as
-    its shortest round-trip ``repr``; any other value as ``str``, quoted
-    when it holds a comma, a quote or a line break.  Blocks may come from
-    an iterator; each is formatted as it is written.
+    is a single row.  A :class:`Domain` cell is its grid, an array cell
+    whose strings are formatted once and reused by every block and file
+    on that domain.  A float, numpy ``float64`` included, is
+    written as its shortest round-trip ``repr``; any other value as
+    ``str``, quoted when it holds a comma, a quote or a line break.  Blocks
+    may come from an iterator; each is formatted as it is written.
     """
-    # Blocks format a group's repeated cells once and its values through one
-    # tolist; with a type test per cell, simulate's 153,600-row truths.csv
-    # made the whole command a fifth slower.
+    # A block formats each column once and joins its rows in C; a per-row
+    # generator, and a repr of the grid in every group, made truths.csv cost
+    # simulate a third of its time.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            n = max((c.size for c in block if isinstance(c, np.ndarray)), default=1)
-            cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else repeat(_cell(c), n)
-                     for c in block]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            columns = [_grid_strings(c, repr(c)) if isinstance(c, Domain)
+                       else list(map(repr, c.tolist())) if isinstance(c, np.ndarray) else None
+                       for c in block]
+            n = min((len(c) for c in columns if c is not None), default=1)
+            if n:
+                cells = [repeat(_cell(b), n) if c is None else c for b, c in zip(block, columns)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path, payload) -> None:
@@ -183,4 +196,4 @@ def write_samples_csv(path, samples: list[SubpopSample]) -> None:
 
 
 def write_density_csv(path, fn: GridFn) -> None:
-    write_csv(path, ("t", "density"), [(fn.domain.grid, fn.values)])
+    write_csv(path, ("t", "density"), [(fn.domain, fn.values)])
