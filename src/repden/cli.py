@@ -122,6 +122,14 @@ def size_strata(text: str) -> list[tuple[float, float, str]]:
     return [(lo, hi, f"({lo:g},{hi:g}]") for lo, hi in zip(edges[:-1], edges[1:])]
 
 
+def method_list(text: str) -> list[str]:
+    """Comma-separated method names, case-insensitive, each a known one given once."""
+    methods = [m.strip().lower() for m in text.split(",") if m.strip()]
+    if len(set(methods)) < len(methods) or not set(methods) <= {*FAMILY_METHODS, "kde"}:
+        raise ValueError(text)
+    return methods
+
+
 def bandwidth(text: str) -> float | None:
     if text == "auto":
         return None
@@ -399,22 +407,11 @@ def _loo_family(loaded: _Loaded, samples: list[SubpopSample], method: str, k, k_
     cross-entropy, or the error of its first refit that failed.
 
     The refits of all samples are solved as one batch, reduced from one
-    interpolation pass per sample (``loo_subsets``).  A sample that cannot
-    be taken to the model's scale as a whole has its subsets refitted one
-    by one instead, so each keeps the error it gives on its own.
+    interpolation pass per sample (``loo_subsets``).
     """
-    refits, mapped = [None] * len(samples), []
-    for i, s in enumerate(samples):
-        try:
-            mapped.append((i, loaded.obs(s.obs)))
-        except ValueError:
-            refits[i] = loaded.fit([np.delete(s.obs, j) for j in range(s.size)],
-                                   method, k=k, k_max=k_max)
-    if mapped:
-        batch = loo_subsets(loaded.model, [x for _, x in mapped], k or k_max)
-        fits = iter(fit(loaded.model, batch, method, k=k, k_max=k_max))
-        for i, x in mapped:
-            refits[i] = [next(fits) for _ in range(x.size)]
+    batch = loo_subsets(loaded.model, [s.obs for s in samples], k or k_max, loaded.obs)
+    fits = iter(fit(loaded.model, batch, method, k=k, k_max=k_max))
+    refits = [[next(fits) for _ in range(s.size)] for s in samples]
     entries = []
     for s, rs in zip(samples, refits):
         failed = next((j for j, r in enumerate(rs) if isinstance(r, FIT_ERRORS)), None)
@@ -431,15 +428,11 @@ def cmd_evaluate(args) -> int:
     samples = read_samples_csv(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in FAMILY_METHODS + ("kde",):
-            raise UsageError(f"unknown method {m!r} in --methods")
     k, k_max = _truncation(args, loaded.model)
     levels = args.return_levels
 
     entries = {}
-    for method in methods:
+    for method in args.methods:
         fits, loo = [], []
         if levels and method != "kde":
             fits = loaded.fit([s.obs for s in samples], method, k=k, k_max=k_max)
@@ -459,7 +452,7 @@ def cmd_evaluate(args) -> int:
                 dens = loaded.density(fits[i])
                 entry["return_levels"] = {f"{t:g}": return_level(dens, t) for t in levels}
             entries[i, method] = entry
-    rows = [entries[i, method] for i in range(len(samples)) for method in methods]
+    rows = [entries[i, method] for i in range(len(samples)) for method in args.methods]
 
     if args.loo:
         table = [(r["id"], r["size"], r["stratum"], r["method"],
@@ -476,7 +469,7 @@ def cmd_evaluate(args) -> int:
     summary = {"command": "evaluate", "strata": []}
     for _, _, label in args.strata:
         block = {}
-        for method in methods:
+        for method in args.methods:
             cell = [r for r in rows if r["stratum"] == label and r["method"] == method
                     and "loo_ce" in r]
             if not cell:
@@ -563,7 +556,8 @@ def build_parser() -> _Parser:
     p.add_argument("--strata", type=size_strata, default="0,10,35,75",
                    help="comma-separated increasing size breaks b0,...,bn: strata "
                         "(-inf,b0], (b0,b1], ..., (bn,inf] (default 0,10,35,75)")
-    p.add_argument("--methods", default="mle,map,blup,kde")
+    p.add_argument("--methods", type=method_list, default="mle,map,blup,kde",
+                   help="comma-separated methods, each once (default mle,map,blup,kde)")
     p.add_argument("--k", default="aic")
     p.add_argument("--k-max", type=positive_int, default=None)
     p.add_argument("--threads", type=int, default=None,

@@ -114,9 +114,11 @@ class _Samples:
         return _Samples(self.n[rows], self.mu_bar[rows], self.phibar[rows], self.errors[rows])
 
 
-def _prepare(model: FamilyModel, obs, k: int) -> tuple[_Samples, bool]:
+def prepare(model: FamilyModel, obs, k: int, scale=None) -> tuple[_Samples, bool]:
     """``obs`` reduced up to truncation ``k``, and whether it was one sample;
-    already reduced samples pass through as a batch."""
+    already reduced samples pass through as a batch.  ``scale`` maps a
+    sample to the model's scale first; a sample it rejects with a
+    ``ValueError`` keeps that error, as does one that fails validation."""
     if isinstance(obs, _Samples):
         return obs, False
     samples, single = as_samples(obs)
@@ -126,6 +128,7 @@ def _prepare(model: FamilyModel, obs, k: int) -> tuple[_Samples, bool]:
     errors: list[ValueError | None] = [None] * m
     for i, x in enumerate(samples):
         try:
+            x = x if scale is None else scale(x)
             phibar[i] = suffstat_average(model, x, k)
         except ValueError as exc:
             errors[i] = exc
@@ -135,20 +138,25 @@ def _prepare(model: FamilyModel, obs, k: int) -> tuple[_Samples, bool]:
     return _Samples(n=n, mu_bar=mu_bar, phibar=phibar, errors=tuple(errors)), single
 
 
-def loo_subsets(model: FamilyModel, samples: list[np.ndarray], k: int) -> _Samples:
+def loo_subsets(model: FamilyModel, samples: list[np.ndarray], k: int, scale=None) -> _Samples:
     """The leave-one-out subsets of every sample, in order, reduced up to
-    truncation ``k`` as one batch for :func:`fit`.
+    truncation ``k`` as one batch for :func:`fit`; ``scale`` is as in
+    :func:`prepare`.
 
     Each sample is interpolated once: subset ``j`` of ``N`` values has the
     means ``(sum - value_j) / (N - 1)`` and ``N - 1`` observations.  The
-    subsets of a sample with fewer than two values or with a value outside
-    the domain are reduced one by one, so each keeps the error a direct fit
-    of it gives.
+    subsets of a sample with fewer than two values, with a value outside
+    the domain, or that ``scale`` rejects are reduced one by one, so each
+    keeps the error a direct fit of it gives.
     """
     parts = []
-    for x in samples:
-        if x.size < 2 or not model.domain.contains(x):
-            parts.append(_prepare(model, [np.delete(x, j) for j in range(x.size)], k)[0])
+    for y in samples:
+        try:
+            x = y if scale is None else scale(y)
+        except ValueError:
+            x = None
+        if x is None or x.size < 2 or not model.domain.contains(x):
+            parts.append(prepare(model, [np.delete(y, j) for j in range(y.size)], k, scale)[0])
             continue
         phi = suffstat_values(model, x, k)
         mu = np.interp(x, model.domain.grid, model.mu_values)
@@ -174,7 +182,7 @@ def _unwrap(results: list, single: bool):
 def _fit(model: FamilyModel, obs, k: int, theta0, method: str, solve):
     """Run ``solve(n, phibar, theta0) -> (theta, errors)`` on the samples whose
     statistics are inside the moment range, and package every row."""
-    s, single = _prepare(model, obs, k)
+    s, single = prepare(model, obs, k)
     phibar = s.phibar[:, :k]
     errors = list(s.errors)
     for i in np.flatnonzero(_outside_range(model, phibar)):
@@ -207,8 +215,6 @@ def shrinkage_stats(model: FamilyModel, k: int, fit_n) -> ShrinkageStats:
     ``fit_n`` is one sample size or an array of them; an array stacks
     ``sigma_phibar`` along a leading axis.
     """
-    if model.n_train < 2:
-        raise ValueError("shrinkage statistics need at least two training subpopulations")
     if not 1 <= k <= model.n_components:
         raise ValueError(f"k must be in [1, {model.n_components}], got {k}")
     fit_n = np.asarray(fit_n)
@@ -351,25 +357,19 @@ def select_k_aic(model: FamilyModel, obs, method: str, k_max: int):
     fitter = _fitter(method)
     if not 1 <= k_max <= model.n_components:
         raise ValueError(f"k_max must be in [1, {model.n_components}], got {k_max}")
-    s, single = _prepare(model, obs, k_max)
-    m = s.n.size
-    traces: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-    best: list[FitResult | None] = [None] * m
-    best_aic = [0.0] * m
-    warm = np.zeros((m, k_max))
+    s, single = prepare(model, obs, k_max)
+    fits: list[list[tuple[float, FitResult]]] = [[] for _ in range(len(s))]
+    warm = np.zeros((len(s), k_max))
     for k in range(1, k_max + 1):
         for i, r in enumerate(fitter(model, s, k, theta0=warm[:, :k])):
             if isinstance(r, FitResult):
                 warm[i, :k] = r.theta
-                aic = r.aic
-                traces[i].append((k, aic))
-                if best[i] is None or aic < best_aic[i]:
-                    best[i], best_aic[i] = r, aic
+                fits[i].append((r.aic, r))
     failed = f"all truncations 1..{k_max} failed for method {method!r}"
     results = [
         err if err is not None
-        else FitFailedError(failed) if b is None
-        else replace(b, aic_trace=tuple(trace))
-        for err, b, trace in zip(s.errors, best, traces)
+        else FitFailedError(failed) if not rs
+        else replace(min(rs, key=lambda p: p[0])[1], aic_trace=tuple((r.k, a) for a, r in rs))
+        for err, rs in zip(s.errors, fits)
     ]
     return _unwrap(results, single)

@@ -96,6 +96,8 @@ class FamilyModel:
             raise ValueError("eigensystem domain differs from model domain")
         if len(self.train_densities) != self.sys.n_train:
             raise ValueError("one pre-smoothed density per training subpopulation required")
+        if self.n_train < 2:
+            raise ValueError("a family needs at least two training subpopulations")
         summaries = tuple(_summarize(self, k) for k in range(1, self.n_components + 1))
         object.__setattr__(self, "summaries", summaries)
 
@@ -315,46 +317,42 @@ def newton_minimize(
     single = np.ndim(target) == 1
     target = np.atleast_2d(np.asarray(target, dtype=float))
     m = target.shape[0]
-    theta = np.full(target.shape, np.nan)
     errors: list[NewtonDivergenceError | None] = [None] * m
     phi_outer = model.summary(k).phi_outer
     diag = np.arange(k)
-
-    def evaluate(th, tgt, d):
-        """Objective values, weighted densities and moments at the rows ``th``."""
-        wp, b, xi = _moments(model, th)
-        return b + (th * (0.5 * d * th - tgt)).sum(axis=1), wp, xi
-
-    def armijo(sel, t):
-        """The rows ``sel`` evaluated at step length ``t``, and which of them
-        decrease the objective enough."""
-        cand = th[sel] + t * step[sel]
-        f_cand, wp_cand, xi_cand = evaluate(cand, tgt[sel], d[sel])
-        ok = f_cand <= f[sel] + ARMIJO_C * t * slope[sel] + slack[sel]
-        return ok, cand, f_cand, wp_cand, xi_cand
-
-    # the rows still iterating: their indices and their compacted state
-    rows = np.arange(m)
-    tgt = target
     d = np.zeros_like(target)
     if diag_penalty is not None:
         d[:] = np.reshape(diag_penalty, target.shape)
     th = np.zeros_like(target)
     if theta0 is not None:
         th[:] = np.reshape(theta0, target.shape)
-    f, wp, xi = evaluate(th, tgt, d)
+
+    def evaluate(sel, cand):
+        """Objective values, weighted densities and moments of the problems
+        ``sel`` at the parameters ``cand``."""
+        wp, b, xi = _moments(model, cand)
+        return b + (cand * (0.5 * d[sel] * cand - target[sel])).sum(axis=1), wp, xi
+
+    # ``th`` has one row per problem; ``rows`` holds the problems still
+    # iterating, and ``f``, ``wp`` and ``xi`` one row for each of them
+    f, wp, xi = evaluate(slice(None), th)
+    rows = np.arange(m)
     for _ in range(NEWTON_MAX_ITER):
-        grad = xi - tgt + d * th
+        th_rows, tgt = th[rows], target[rows]
+        grad = xi - tgt + d[rows] * th_rows
+        # Changes below the objective's rounding error pass the Armijo test,
+        # so the final polishing steps are not rejected.  The error scales
+        # with B and theta @ target, which near a far-out optimum are much
+        # larger than their difference.
+        slack = _SLACK * (1.0 + np.abs(f) + np.abs(th_rows * tgt).sum(axis=1))
         going = np.abs(grad).max(axis=1) >= NEWTON_GRAD_TOL
         if not going.all():
-            theta[rows[~going]] = th[~going]
-            rows, tgt, d, th, f, wp, xi, grad = (
-                a[going] for a in (rows, tgt, d, th, f, wp, xi, grad))
-            if not rows.size:
-                break
+            rows, f, wp, xi, grad, slack = (a[going] for a in (rows, f, wp, xi, grad, slack))
+        if not rows.size:
+            break
         hess = _covariances(phi_outer, wp, xi)
         if diag_penalty is not None:
-            hess[:, diag, diag] += d
+            hess[:, diag, diag] += d[rows]
         try:
             step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -367,48 +365,42 @@ def newton_minimize(
         if uphill.any():
             step[uphill] = -grad[uphill]
             slope[uphill] = np.einsum("ij,ij->i", grad[uphill], step[uphill])
-        # Changes below the objective's rounding error pass the Armijo test,
-        # so the final polishing steps are not rejected.  The error scales
-        # with B and theta @ target, which near a far-out optimum are much
-        # larger than their difference.
-        slack = _SLACK * (1.0 + np.abs(f) + np.abs(th * tgt).sum(axis=1))
-        # backtracking: the rows that reject a step length halve it together
-        ok, *accepted = armijo(slice(None), 1.0)
-        if ok.all():
-            th, f, wp, xi = accepted
-            search = rows[:0]
-        else:
-            for a, new in zip((th, f, wp, xi), accepted):
-                a[ok] = new[ok]
-            search, t = np.nonzero(~ok)[0], 0.5
-            while search.size and t > 1e-14:
-                ok, *accepted = armijo(search, t)
-                for a, new in zip((th, f, wp, xi), accepted):
+        # backtracking from the full step: the rows that reject a step length
+        # halve it together (``search`` indexes ``rows``)
+        search, t = np.arange(rows.size), 1.0
+        while search.size and t > 1e-14:
+            sel = rows[search]
+            cand = th[sel] + t * step[search]
+            f_cand, wp_cand, xi_cand = evaluate(sel, cand)
+            ok = f_cand <= f[search] + ARMIJO_C * t * slope[search] + slack[search]
+            if ok.all() and search.size == rows.size:
+                th[rows], f, wp, xi = cand, f_cand, wp_cand, xi_cand
+            else:
+                th[sel[ok]] = cand[ok]
+                for a, new in zip((f, wp, xi), (f_cand, wp_cand, xi_cand)):
                     a[search[ok]] = new[ok]
-                search, t = search[~ok], 0.5 * t
-        diverged = np.abs(th).max(axis=1) > THETA_DIVERGENCE_BOUND
-        if search.size or diverged.any():
-            for i in rows[diverged]:
-                errors[i] = NewtonDivergenceError(
-                    "iterates diverging; target sits on the attainable boundary")
-            for i in rows[search]:
-                errors[i] = NewtonDivergenceError("line search stalled; target may be unattainable")
-            keep = ~diverged
-            keep[search] = False
-            rows, tgt, d, th, f, wp, xi = (a[keep] for a in (rows, tgt, d, th, f, wp, xi))
-            if not rows.size:
-                break
+            search, t = search[~ok], 0.5 * t
+        drop = np.abs(th[rows]).max(axis=1) > THETA_DIVERGENCE_BOUND
+        for i in rows[drop]:
+            errors[i] = NewtonDivergenceError(
+                "iterates diverging; target sits on the attainable boundary")
+        for i in rows[search]:
+            errors[i] = NewtonDivergenceError("line search stalled; target may be unattainable")
+        drop[search] = True
+        if drop.any():
+            rows, f, wp, xi = (a[~drop] for a in (rows, f, wp, xi))
     else:
         for i in rows:
             errors[i] = NewtonDivergenceError(
                 f"no convergence after {NEWTON_MAX_ITER} iterations; "
                 "target may sit too close to the attainable boundary"
             )
+    th[[e is not None for e in errors]] = np.nan
     if single:
         if errors[0] is not None:
             raise errors[0]
-        return theta[0]
-    return theta, errors
+        return th[0]
+    return th, errors
 
 
 def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .estimators import as_samples, fit
+from .estimators import _unwrap, fit, prepare
 from .expfam import FamilyModel, density, rowwise, train_family
 from .grid import Domain, GridFn
 from .presmooth import SubpopSample
@@ -98,18 +99,9 @@ def fit_original_scale(
     Takes one sample or a sequence, like :func:`repden.estimators.fit`; in a
     sequence, a sample with a nonpositive response fails on its own.
     """
-    samples, single = as_samples(obs_y)
-    if single:
-        return fit(m.inner, clamp_log_obs(m, samples[0]), method, k=k, k_max=k_max)
-    logged, outcomes = [], []
-    for y in samples:
-        try:
-            logged.append(clamp_log_obs(m, y))
-            outcomes.append(None)
-        except ValueError as exc:
-            outcomes.append(exc)
-    fits = iter(fit(m.inner, logged, method, k=k, k_max=k_max))
-    return [next(fits) if r is None else r for r in outcomes]
+    width = m.inner.n_components if k is None else k
+    s, single = prepare(m.inner, obs_y, width, partial(clamp_log_obs, m))
+    return _unwrap(fit(m.inner, s, method, k=k, k_max=k_max), single)
 
 
 def pushforward_values(dom: Domain, px: np.ndarray) -> tuple[Domain, np.ndarray]:

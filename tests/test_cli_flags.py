@@ -175,3 +175,30 @@ def test_evaluate_reports_failure_reasons(log_model_and_csv, tmp_path, capsys):
     with open(out / "loo_per_sample.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {(r["subpop_id"], r["finite"]) for r in rows} == {("good", "1"), ("bad", "0")}
+
+
+@pytest.mark.parametrize("methods", ["mle,mle", "MLE,mle", "map, Map", "mle,foo", "kde,ols"])
+@pytest.mark.parametrize("model_exists", [True, False])
+def test_methods_checked_before_anything_is_read_or_created(model_and_csv, tmp_path, capsys,
+                                                           methods, model_exists):
+    model, new = model_and_csv
+    out = tmp_path / "eval"
+    model_arg = str(model) if model_exists else str(tmp_path / "missing.json")
+    assert main(["evaluate", model_arg, str(new), "--out", str(out), "--loo",
+                 "--methods", methods]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "--methods" in err
+    assert not out.exists()
+
+
+def test_methods_are_stripped_and_lowercased(model_and_csv, tmp_path, capsys):
+    model, new = model_and_csv
+    out = tmp_path / "eval"
+    assert main(["evaluate", str(model), str(new), "--out", str(out), "--loo", "--k", "1",
+                 "--methods", " KDE , Mle ,"]) == 0
+    capsys.readouterr()
+    with open(out / "loo_per_sample.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["kde", "mle"] * 5
+    summary = json.loads((out / "loo_summary.json").read_text())
+    assert sum(b["methods"]["mle"]["n"] for b in summary["strata"]) == 5

@@ -101,3 +101,25 @@ def test_fit_rejects_ids_that_cannot_name_a_file_before_fitting(tmp_path, capsys
     assert main(["fit", str(model_file), str(path), "--out", str(out)]) == 2
     assert f"{bad_id!r} cannot name a density file" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _one_training_group(payload):
+    payload["train_scores"] = payload["train_scores"][:1]
+    payload["train_densities"] = payload["train_densities"][:1]
+    payload["provenance"]["n"] = 1
+    payload["provenance"]["sizes"] = payload["provenance"]["sizes"][:1]
+
+
+@pytest.mark.parametrize("argv", [["fit", "--method", "mle"], ["fit", "--method", "map"],
+                                  ["fit", "--method", "blup"], ["evaluate", "--loo"]])
+def test_model_with_one_training_group_is_a_format_error(tmp_path, capsys, trained_model,
+                                                         new_csv, argv):
+    payload = model_to_dict(trained_model)
+    _one_training_group(payload)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="at least two training subpopulations"):
+        load_model(model)
+    command, *flags = argv
+    assert main([command, str(model), str(new_csv), "--out", str(tmp_path / "out"), *flags]) == 2
+    assert "malformed model file" in capsys.readouterr().err
