@@ -1,11 +1,12 @@
 """Batch command-line entry points: train, fit, simulate, evaluate.
 
 Exit codes: 0 success (possibly with per-item errors), 1 usage error,
-2 I/O or parse error, 3 total numerical failure.  Every command is
-deterministic given its inputs, flags, and seed.  ``fit`` and ``evaluate``
-run their fits as one batch in one thread and accept ``--threads`` only for
-compatibility; ``--threads`` (or ``REPDEN_THREADS``) sizes ``simulate``'s
-process pool, which changes scheduling, never output content or order.
+2 I/O or parse error, 3 total numerical failure.  Every command runs in
+one process: ``fit`` and ``evaluate`` fit as batches, ``simulate`` runs its
+replications in order; all three accept ``--threads`` for compatibility and
+ignore it.  Every command is deterministic given its inputs, flags, and
+seed; ``train`` and ``simulate`` only for a fixed BLAS thread count, since
+the FPCA of training is BLAS-threaded.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .modelio import (
 )
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
 from .simgen import SCENARIO_KINDS, default_spec
-
-THREADS_ENV = "REPDEN_THREADS"
+from .simulate import run_scenario
 
 
 class UsageError(Exception):
@@ -149,18 +149,6 @@ def _truncation(args, model: FamilyModel) -> tuple[int | None, int]:
     if args.k != "aic" and not (args.k.isdecimal() and 1 <= int(args.k) <= n):
         raise UsageError(f"--k must be 'aic' or an integer in [1, {n}], got {args.k!r}")
     return (None if args.k == "aic" else int(args.k)), min(args.k_max or n, n)
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _finite(x) -> bool:
@@ -295,17 +283,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # imported here: its process pool loads multiprocessing, which the other
-    # commands never use
-    from .simulate import run_scenario
-
     overrides = {
         key: getattr(args, key)
         for key in ("n_train", "train_size", "n_test", "test_size")
         if getattr(args, key) is not None
     }
     spec = default_spec(args.scenario, args.seed, **overrides)
-    threads = _resolve_threads(args.threads)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,7 +299,6 @@ def cmd_simulate(args) -> int:
         k_max=args.k_max,
         n_grid=args.grid,
         bandwidth=args.bandwidth,
-        threads=threads,
         keep_data=True,
     )
 
@@ -543,7 +525,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=grid_size, default=512)
     p.add_argument("--bandwidth", type=bandwidth, default="auto")
     p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes (default: {THREADS_ENV} or all cores)")
+                   help="ignored: replications run in order in one process")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score fits without knowing the truths")

@@ -215,12 +215,10 @@ def shrinkage_stats(model: FamilyModel, k: int, fit_n) -> ShrinkageStats:
     ``fit_n`` is one sample size or an array of them; an array stacks
     ``sigma_phibar`` along a leading axis.
     """
-    if not 1 <= k <= model.n_components:
-        raise ValueError(f"k must be in [1, {model.n_components}], got {k}")
+    s = model.summary(k)
     fit_n = np.asarray(fit_n)
     if np.any(fit_n < 1):
         raise ValueError(f"fitting sample size must be positive, got {fit_n}")
-    s = model.summary(k)
     return ShrinkageStats(
         tau_bar=s.tau_bar,
         sigma_tau=s.sigma_tau,

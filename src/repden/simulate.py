@@ -3,15 +3,15 @@
 One replication draws fresh training and testing populations, trains the
 family on the training samples, fits every testing sample with the
 requested methods plus a per-sample KDE baseline, and scores each fit by KL
-divergence against the known truth.  Replications are seeded independently
-from the master seed, so results are identical under any thread count.
+divergence against the known truth.  Replications run in order in the
+calling process, each seeded from the master seed and its index; the
+scores repeat bit for bit under a fixed BLAS thread count, which training's
+FPCA depends on.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -104,15 +104,10 @@ def run_scenario(
     threads: int = 1,
     keep_data: bool = False,
 ) -> list[RepOutcome]:
-    """All replications, ordered by index regardless of scheduling.
+    """All replications, in order of their index.
 
-    Replications are independent, so with ``threads > 1`` they run in a
-    process pool; per-replication seeding keeps the output identical to the
-    sequential path.
+    ``threads`` is accepted for compatibility and ignored.
     """
-    run_one = partial(run_replication, spec, k_max=k_max, n_grid=n_grid, methods=methods,
-                      kde_baseline=kde_baseline, bandwidth=bandwidth, keep_data=keep_data)
-    if threads <= 1 or reps <= 1:
-        return [run_one(rep) for rep in range(reps)]
-    with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
-        return list(pool.map(run_one, range(reps)))
+    return [run_replication(spec, rep, k_max, n_grid=n_grid, methods=methods,
+                            kde_baseline=kde_baseline, bandwidth=bandwidth, keep_data=keep_data)
+            for rep in range(reps)]
