@@ -261,21 +261,18 @@ def blup_moment(stats: ShrinkageStats, phibar: np.ndarray) -> np.ndarray:
     """The affine shrinkage combination in moment coordinates.
 
     ``phibar`` is one statistic ``(k,)`` or a stack ``(m, k)`` matching a
-    stacked ``stats.sigma_phibar``.
+    stacked ``stats.sigma_phibar``.  Where ``total = sigma_phibar + sigma_tau``
+    has a condition number that is not finite or exceeds ``BLUP_COND_LIMIT``,
+    its diagonal gains ``BLUP_RIDGE * s / k``, ``s`` its trace or 1 where that is 0.
     """
     k = phibar.shape[-1]
-    eye = np.eye(k)
     total = stats.sigma_phibar + stats.sigma_tau
     trace = np.trace(total, axis1=-2, axis2=-1)
     cond = np.linalg.cond(total)
-    ridge = np.where(np.isfinite(cond) & (cond <= BLUP_COND_LIMIT), 0.0, BLUP_RIDGE * trace / k)
-    total = total + ridge[..., None, None] * eye
-    diff = (phibar - stats.tau_bar)[..., None]
-    try:
-        gain = np.linalg.solve(total, diff)[..., 0]
-    except np.linalg.LinAlgError:
-        total = total + (BLUP_RIDGE * np.maximum(trace, 1.0) / k)[..., None, None] * eye
-        gain = np.linalg.solve(total, diff)[..., 0]
+    scale = np.where(trace == 0, 1.0, trace)
+    ridge = np.where(np.isfinite(cond) & (cond <= BLUP_COND_LIMIT), 0.0, BLUP_RIDGE * scale / k)
+    total = total + ridge[..., None, None] * np.eye(k)
+    gain = np.linalg.solve(total, (phibar - stats.tau_bar)[..., None])[..., 0]
     return rowwise(gain, stats.sigma_tau.T) + stats.tau_bar
 
 
@@ -286,10 +283,8 @@ def _pull_into_range(model: FamilyModel, xi: np.ndarray, tau_bar: np.ndarray) ->
     lo = model.moment_lo[:k] + BLUP_BOX_MARGIN
     hi = model.moment_hi[:k] - BLUP_BOX_MARGIN
     inside = np.all((xi > lo) & (xi < hi), axis=-1)
-    if np.all(inside):
-        return xi
     d = xi - tau_bar
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         reach = np.where(d > 0, (hi - tau_bar) / d, np.where(d < 0, (lo - tau_bar) / d, np.inf))
     t_max = np.maximum(np.minimum(reach.min(axis=-1), 1.0), 0.0)
     return np.where(inside[..., None], xi, tau_bar + t_max[..., None] * d)

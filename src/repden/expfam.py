@@ -98,7 +98,10 @@ class FamilyModel:
             raise ValueError("one pre-smoothed density per training subpopulation required")
         if self.n_train < 2:
             raise ValueError("a family needs at least two training subpopulations")
-        summaries = tuple(_summarize(self, k) for k in range(1, self.n_components + 1))
+        wp = np.stack([p.values for p in self.train_densities])
+        wp *= self.domain.trap_weights
+        mass, m1 = wp.sum(axis=0), wp @ self.phi
+        summaries = tuple(_summarize(self, k, mass, m1) for k in range(1, self.n_components + 1))
         object.__setattr__(self, "summaries", summaries)
 
     @property
@@ -142,21 +145,17 @@ class FamilyModel:
         return self.summary(k).train_moments
 
 
-def _summarize(model: FamilyModel, k: int) -> TruncationSummary:
+def _summarize(model: FamilyModel, k: int, mass: np.ndarray, m1: np.ndarray) -> TruncationSummary:
     """The summaries at truncation ``k``.  The within-subpopulation covariance
-    averages ``int (phi(t) - tau_i)(phi(t) - tau_i)' p_i(t) dt`` over the
+    averages ``int (phi(t) - tau_i)(phi(t) - tau_i)' p_i(t) dt`` over the ``n``
     pre-smoothed training densities; divided by a fitting sample size it is
-    the covariance of that sample's statistic mean."""
+    the covariance of that sample's statistic mean.  With ``mass = sum_i w p_i``
+    and ``m1[i] = (w p_i) @ phi`` (``w`` the trapezoid weights) it is
+    ``(phi' diag(mass) phi - taus' m1 - m1' taus + taus' taus) / n``."""
     phi = model.phi[:, :k]
-    w = model.domain.trap_weights
     taus = _moments(model, model.train_scores[:, :k])[2]
-    total = np.zeros((k, k))
-    for tau, dens in zip(taus, model.train_densities):
-        wp = w * dens.values
-        m2 = phi.T @ (wp[:, None] * phi)
-        m1 = wp @ phi
-        total += m2 - np.outer(tau, m1) - np.outer(m1, tau) + np.outer(tau, tau)
-    base = total / model.n_train
+    cross = taus.T @ m1[:, :k]
+    base = (phi.T @ (mass[:, None] * phi) - cross - cross.T + taus.T @ taus) / model.n_train
     tau_bar = taus.mean(axis=0)
     centered = taus - tau_bar
     sigma_tau = centered.T @ centered / (model.n_train - 1)
@@ -351,8 +350,7 @@ def newton_minimize(
         if not rows.size:
             break
         hess = _covariances(phi_outer, wp, xi)
-        if diag_penalty is not None:
-            hess[:, diag, diag] += d[rows]
+        hess[:, diag, diag] += d[rows]
         try:
             step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repden.estimators import FitResult, fit
+from repden.estimators import BATCH_SIZE, FitResult, fit, prepare
 from repden.expfam import train_family
 from repden.grid import Domain
 from repden.modelio import save_model, write_samples_csv
@@ -86,3 +86,16 @@ def test_fits_json_does_not_depend_on_blas_threads(sparse_fit, tmp_path, method)
         written.append((out / "fits.json").read_bytes())
     assert json.loads(written[0])["n_fitted"] >= 140
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("method, k", [("blup", None), ("map", 2)])
+def test_fits_past_one_batch_match_each_sample_alone(sparse_fit, method, k):
+    """More than ``BATCH_SIZE`` samples, as a list and as reduced samples, are
+    split into batches; every result is that sample's own fit."""
+    model, _ = sparse_fit
+    rng = np.random.default_rng(300)
+    groups = _truncated_normals(rng, rng.integers(5, 15, size=BATCH_SIZE + 44))
+    alone = [_bits(fit(model, [g], method, k=k, k_max=3)[0]) for g in groups]
+    assert sum(isinstance(b[0], int) for b in alone) >= len(groups) - 5
+    for obs in (groups, prepare(model, groups, 3)[0]):
+        assert [_bits(r) for r in fit(model, obs, method, k=k, k_max=3)] == alone

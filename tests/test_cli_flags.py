@@ -65,6 +65,8 @@ def test_strata_must_increase_strictly(model_and_csv, tmp_path, capsys, strata):
         ["train", "{new}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "foo"],
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--test-size", "x"],
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--bandwidth", "-1"],
+        ["train", "{new}", "--out", "{out}/m.json", "--domain=3,-3"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--train-size", "5:3"],
     ],
 )
 def test_malformed_flag_values_exit_1(model_and_csv, tmp_path, capsys, argv):
@@ -130,6 +132,7 @@ def test_programming_errors_propagate(model_and_csv, tmp_path, monkeypatch, argv
          "--return-levels", "5,1"],
         ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
          "--return-levels", "0.5"],
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--min-train-size", "1000"],
     ],
 )
 def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsys, argv):
@@ -139,6 +142,19 @@ def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_simulate_size_ranges_and_bandwidth_are_used(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "trunc_normal", "--out", str(out), "--reps", "1",
+                 "--n-train", "6", "--train-size", "30:40", "--n-test", "3",
+                 "--test-size", "5:8", "--k-max", "2", "--grid", "64",
+                 "--bandwidth", "0.4"]) == 0
+    capsys.readouterr()
+    with open(out / "reps" / "rep_0000" / "train.csv", newline="") as fh:
+        ids = [r["subpop_id"] for r in csv.DictReader(fh)]
+    sizes = [ids.count(g) for g in dict.fromkeys(ids)]
+    assert len(sizes) == 6 and all(30 <= n <= 40 for n in sizes)
 
 
 @pytest.fixture(scope="module")

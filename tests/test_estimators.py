@@ -3,7 +3,9 @@ import pytest
 
 from repden.estimators import (
     FitFailedError,
+    ShrinkageStats,
     ZeroPriorVarianceError,
+    _pull_into_range,
     blup_moment,
     fit_blup,
     fit_map,
@@ -289,6 +291,32 @@ def test_blup_result_consistency(trained_model):
     r = fit_blup(trained_model, obs, 2)
     assert r.method == "BLUP"
     assert np.max(np.abs(moment_map(trained_model, r.theta) - r.xi)) < 1e-6
+
+
+def test_pull_into_range_moves_only_rows_outside(trained_model):
+    k = 2
+    tau_bar = trained_model.summary(k).tau_bar
+    lo, hi = trained_model.moment_lo[:k], trained_model.moment_hi[:k]
+    inside = tau_bar + 0.25 * (hi - tau_bar)
+    outside = np.array([hi[0] + 1.0, tau_bar[1]])
+    xi = np.stack([outside, inside])
+    pulled = _pull_into_range(trained_model, xi, tau_bar)
+    assert np.all((pulled[0] > lo) & (pulled[0] < hi))
+    t = (pulled[0] - tau_bar)[0] / (outside - tau_bar)[0]
+    assert 0.0 < t < 1.0
+    np.testing.assert_allclose(pulled[0], tau_bar + t * (outside - tau_bar), rtol=0, atol=1e-14)
+    assert pulled[1].tobytes() == inside.tobytes()
+
+
+def test_blup_moment_zero_covariances_return_tau_bar():
+    k, m = 3, 4
+    tau_bar = np.array([0.1, -0.2, 0.05])
+    stats = ShrinkageStats(tau_bar=tau_bar, sigma_tau=np.zeros((k, k)),
+                           sigma_phibar=np.zeros((m, k, k)), score_vars=np.ones(k))
+    phibar = np.random.default_rng(17).normal(size=(m, k))
+    out = blup_moment(stats, phibar)
+    assert out.shape == (m, k)
+    assert all(row.tobytes() == tau_bar.tobytes() for row in out)
 
 
 # ---------------------------------------------------------------------------
