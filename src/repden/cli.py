@@ -4,9 +4,10 @@ Exit codes: 0 success (possibly with per-item errors), 1 usage error,
 2 I/O or parse error, 3 total numerical failure.  Every command runs in
 one process: ``fit`` and ``evaluate`` fit as batches, ``simulate`` runs its
 replications in order; all three accept ``--threads`` for compatibility and
-ignore it.  Every command is deterministic given its inputs, flags, and
-seed; ``train`` and ``simulate`` only for a fixed BLAS thread count, since
-the FPCA of training is BLAS-threaded.
+ignore it.  ``train`` pre-smooths its groups on one thread per available
+CPU, which leaves its model unchanged.  Every command is deterministic given
+its inputs, flags, and seed; ``train`` and ``simulate`` only for a fixed
+BLAS thread count, since the FPCA of training is BLAS-threaded.
 """
 
 from __future__ import annotations

@@ -261,16 +261,19 @@ def blup_moment(stats: ShrinkageStats, phibar: np.ndarray) -> np.ndarray:
     """The affine shrinkage combination in moment coordinates.
 
     ``phibar`` is one statistic ``(k,)`` or a stack ``(m, k)`` matching a
-    stacked ``stats.sigma_phibar``.  Where ``total = sigma_phibar + sigma_tau``
-    has a condition number that is not finite or exceeds ``BLUP_COND_LIMIT``,
-    its diagonal gains ``BLUP_RIDGE * s / k``, ``s`` its trace or 1 where that is 0.
+    stacked ``stats.sigma_phibar``.  ``total = sigma_phibar + sigma_tau`` is
+    symmetric, so its condition number is the ratio of its extreme
+    eigenvalues, infinite unless the smallest is positive.  Where it exceeds
+    ``BLUP_COND_LIMIT``, the diagonal of ``total`` gains
+    ``BLUP_RIDGE * s / k``, ``s`` its trace or 1 where that is 0.
     """
     k = phibar.shape[-1]
     total = stats.sigma_phibar + stats.sigma_tau
     trace = np.trace(total, axis1=-2, axis2=-1)
-    cond = np.linalg.cond(total)
+    lam = np.linalg.eigvalsh(total)
+    well_conditioned = (lam[..., 0] > 0) & (lam[..., -1] <= BLUP_COND_LIMIT * lam[..., 0])
     scale = np.where(trace == 0, 1.0, trace)
-    ridge = np.where(np.isfinite(cond) & (cond <= BLUP_COND_LIMIT), 0.0, BLUP_RIDGE * scale / k)
+    ridge = np.where(well_conditioned, 0.0, BLUP_RIDGE * scale / k)
     total = total + ridge[..., None, None] * np.eye(k)
     gain = np.linalg.solve(total, (phibar - stats.tau_bar)[..., None])[..., 0]
     return rowwise(gain, stats.sigma_tau.T) + stats.tau_bar

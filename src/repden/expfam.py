@@ -10,8 +10,9 @@ inverted by a damped Newton iteration on the strictly convex dual objective.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -420,6 +421,16 @@ def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None
     return newton_minimize(model, k, xi, theta0=theta0)
 
 
+def _presmooth_workers(n_samples: int) -> int:
+    """Threads for pre-smoothing: one per CPU this process may run on, at
+    most one per sample."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_samples)
+
+
 def train_family(
     samples: list[SubpopSample],
     domain: Domain,
@@ -430,14 +441,22 @@ def train_family(
 
     Pre-smooths every sample with the boundary-corrected KDE (median
     bandwidth unless one is given), applies the centered log transform, and
-    runs the weighted eigendecomposition.
+    runs the weighted eigendecomposition.  The samples are pre-smoothed in a
+    thread pool of one worker per available CPU (the kernel sums are numpy
+    work that releases the GIL); each density depends on its sample alone
+    and comes back in input order, so the model is the same for any worker
+    count, and the first sample outside the domain in input order is the one
+    reported.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     n = len(samples)
     if n < 2:
         raise ValueError("training requires at least two subpopulations")
     h = float(bandwidth) if bandwidth is not None else median_bandwidth(samples)
-    cfg = KdeConfig(bandwidth=h)
-    densities = tuple(weighted_kde(s, cfg, domain) for s in samples)
+    smooth = partial(weighted_kde, cfg=KdeConfig(bandwidth=h), domain=domain)
+    with ThreadPoolExecutor(max_workers=_presmooth_workers(n)) as pool:
+        densities = tuple(pool.map(smooth, samples))
     trajs = [clog_transform(p) for p in densities]
     sys = fit_fpca(trajs, min(k_max, n - 1))
     meta = ModelMeta(

@@ -8,6 +8,7 @@ so linear identities hold exactly in the discrete system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,9 @@ class Domain:
             raise ValueError("domain endpoints must be finite")
         if self.hi <= self.lo:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        # Python floats: a numpy scalar difference would warn as it overflows
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"domain width hi - lo overflows, got [{self.lo}, {self.hi}]")
         if self.n_grid < 16:
             raise ValueError(f"n_grid must be at least 16, got {self.n_grid}")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repden.estimators import (
+    BLUP_RIDGE,
     FitFailedError,
     ShrinkageStats,
     ZeroPriorVarianceError,
@@ -380,3 +381,26 @@ def test_methods_coincide_for_identical_training_in_wide_prior_limit():
     r_mle = fit_mle(model, obs, 1)
     r_map = fit_map(model, obs, 1)
     assert abs(r_map.theta[0] - r_mle.theta[0]) < 1e-4
+
+
+def test_blup_ridge_follows_the_condition_number():
+    # total = sigma_phibar + sigma_tau has eigenvalues 1, 1e-3 and 1/cond in
+    # a random basis; the ridge goes on exactly where cond exceeds 1e12
+    k = 3
+    q, _ = np.linalg.qr(np.random.default_rng(23).normal(size=(k, k)))
+    sigma_tau = np.diag([0.3, 0.2, 0.1])
+    totals = np.stack([q @ np.diag([1.0, 1e-3, lam]) @ q.T
+                       for lam in (1e-6, 1e-11, 1e-13, 0.0)])
+    stats = ShrinkageStats(tau_bar=np.zeros(k), sigma_tau=sigma_tau,
+                           sigma_phibar=totals - sigma_tau, score_vars=np.ones(k))
+    phibar = np.random.default_rng(29).normal(size=(len(totals), k))
+    out = blup_moment(stats, phibar)
+
+    total = stats.sigma_phibar + sigma_tau
+    for row, (t, p, ridged) in enumerate(zip(total, phibar, (False, False, True, True))):
+        ridge = BLUP_RIDGE * np.trace(t) / k
+        with_ridge = sigma_tau @ np.linalg.solve(t + ridge * np.eye(k), p)
+        np.testing.assert_allclose(out[row], with_ridge if ridged else
+                                   sigma_tau @ np.linalg.solve(t, p), rtol=1e-9, atol=0)
+        if row < 2:
+            assert not np.allclose(out[row], with_ridge, rtol=1e-9, atol=0)

@@ -139,3 +139,11 @@ def test_quantile_inverts_cdf_within_one_cell():
         if not 0.0 < q < 1.0:
             continue
         assert abs(quantile_of_density(p, q) - t[j]) <= dt + 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)),
+                                    (-np.finfo(float).max, np.finfo(float).max)])
+def test_domain_rejects_a_width_that_overflows(lo, hi):
+    with pytest.raises(ValueError, match="width"):
+        Domain(lo, hi, 64)
+    Domain(-1e307, 1e307, 64)

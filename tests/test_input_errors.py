@@ -4,6 +4,7 @@ reason, never a traceback: non-finite sample values and invalid model files
 that cannot name a density file (exit 2, before anything is fitted)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,3 +124,15 @@ def test_model_with_one_training_group_is_a_format_error(tmp_path, capsys, train
     command, *flags = argv
     assert main([command, str(model), str(new_csv), "--out", str(tmp_path / "out"), *flags]) == 2
     assert "malformed model file" in capsys.readouterr().err
+
+
+def test_domain_whose_width_overflows_is_a_usage_error_without_warnings(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    write_samples_csv(path, _groups(np.random.default_rng(4), 4, 30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", str(path), "--out", str(tmp_path / "m.json"),
+                     "--domain=-1e308,1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "width" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
