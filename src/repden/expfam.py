@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .fpca import EigenSystem, fit_fpca
-from .grid import Domain, GridFn
+from .grid import DENSITY_FLOOR, Domain, GridFn
 from .logmap import clog_transform
 from .presmooth import KdeConfig, SubpopSample, median_bandwidth, weighted_kde
 
@@ -81,15 +81,22 @@ class TruncationSummary:
 class FamilyModel:
     """A trained family: eigensystem, domain, and training-side summaries.
 
-    Immutable.  The summaries for every truncation ``k = 1..K`` are computed
-    once at construction, so fits against one model share them, from any
-    thread.
+    Immutable.  Every array (``mu_values``, ``phi`` of shape ``(n_grid, K)``,
+    its contiguous transpose ``phi_t``, the statistics' grid minima
+    ``moment_lo`` and maxima ``moment_hi``, and the summaries for every
+    truncation ``k = 1..K``) is built once at construction and is read-only;
+    fits against one model share them, from any thread.
     """
 
     sys: EigenSystem
     domain: Domain
     train_densities: tuple[GridFn, ...]
     meta: ModelMeta
+    mu_values: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    phi_t: np.ndarray = field(init=False, repr=False, compare=False)
+    moment_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    moment_hi: np.ndarray = field(init=False, repr=False, compare=False)
     summaries: tuple[TruncationSummary, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,6 +106,12 @@ class FamilyModel:
             raise ValueError("one pre-smoothed density per training subpopulation required")
         if self.n_train < 2:
             raise ValueError("a family needs at least two training subpopulations")
+        phi = self.sys.phi_matrix()
+        for name, a in (("mu_values", self.sys.mu.values), ("phi", phi),
+                        ("phi_t", np.ascontiguousarray(phi.T)),
+                        ("moment_lo", phi.min(axis=0)), ("moment_hi", phi.max(axis=0))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         wp = np.stack([p.values for p in self.train_densities])
         wp *= self.domain.trap_weights
         mass, m1 = wp.sum(axis=0), wp @ self.phi
@@ -116,24 +129,6 @@ class FamilyModel:
     @property
     def train_scores(self) -> np.ndarray:
         return self.sys.scores
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """Eigenfunction values, shape ``(n_grid, K)``."""
-        return self.sys.phi_matrix()
-
-    @cached_property
-    def mu_values(self) -> np.ndarray:
-        return self.sys.mu.values
-
-    @cached_property
-    def moment_lo(self) -> np.ndarray:
-        """Per-component grid minima of the sufficient statistics."""
-        return self.phi.min(axis=0)
-
-    @cached_property
-    def moment_hi(self) -> np.ndarray:
-        return self.phi.max(axis=0)
 
     def summary(self, k: int) -> TruncationSummary:
         """The training-side summaries at truncation ``k``."""
@@ -194,8 +189,7 @@ def _check_theta(model: FamilyModel, theta) -> np.ndarray:
 def log_normalizer(model: FamilyModel, theta) -> float:
     """``log int exp(mu + sum theta_k phi_k)``, computed max-shifted."""
     theta = _check_theta(model, theta)
-    g = model.mu_values + model.phi[:, : theta.size] @ theta
-    return log_trapz_exp(g, model.domain.trap_weights)
+    return float(_normalize(model, theta[None])[3][0])
 
 
 def rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -208,21 +202,27 @@ def rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], m)[..., 0, :]
 
 
-def _exponent(model: FamilyModel, thetas: np.ndarray) -> np.ndarray:
-    """``mu + phi @ theta`` on the grid for each row of ``thetas``, shape ``(m, G)``."""
-    phi_t = np.ascontiguousarray(model.phi[:, : thetas.shape[1]].T)
-    return model.mu_values + rowwise(thetas, phi_t)
+def _normalize(model: FamilyModel, thetas: np.ndarray):
+    """The one computation of ``B``.  For each row of ``thetas`` (shape
+    ``(m, k)``): the exponent ``g = mu + phi @ theta`` on the grid,
+    ``exp(g - max g)`` times the trapezoid weights, its sum, and ``B``."""
+    g = model.mu_values + rowwise(thetas, model.phi_t[: thetas.shape[1]])
+    top = g.max(axis=1)
+    wp = np.subtract(g, top[:, None])
+    np.exp(wp, out=wp)
+    wp *= model.domain.trap_weights
+    mass = wp.sum(axis=1)
+    return g, wp, mass, top + np.log(mass)
 
 
 def density_values(model: FamilyModel, thetas: np.ndarray) -> np.ndarray:
     """Family density values on the grid for each row of ``thetas`` (shape
-    ``(m, k)``), normalized max-shifted under the trapezoidal rule and
-    floored at 1e-300; :func:`density` is one such row."""
-    g = _exponent(model, thetas)
-    top = g.max(axis=1)
-    w = model.domain.trap_weights
-    b = top + np.log(rowwise(np.exp(g - top[:, None]), w[:, None])[:, 0])
-    return np.maximum(np.exp(g - b[:, None]), 1e-300)
+    ``(m, k)``), ``exp(mu + phi @ theta - B)`` floored at ``DENSITY_FLOOR``;
+    :func:`density` is one such row."""
+    g, _, _, b = _normalize(model, thetas)
+    g -= b[:, None]
+    np.exp(g, out=g)
+    return np.maximum(g, DENSITY_FLOOR, out=g)
 
 
 def density(model: FamilyModel, theta) -> GridFn:
@@ -234,12 +234,9 @@ def density(model: FamilyModel, theta) -> GridFn:
 def _moments(model: FamilyModel, thetas: np.ndarray):
     """For each row of ``thetas`` (shape ``(m, k)``): the density values times
     the trapezoid weights, the log-normalizer, and the moment coordinates."""
-    g = _exponent(model, thetas)
-    top = g.max(axis=1)
-    wp = np.exp(g - top[:, None]) * model.domain.trap_weights
-    mass = wp.sum(axis=1)
+    _, wp, mass, b = _normalize(model, thetas)
     wp /= mass[:, None]
-    return wp, top + np.log(mass), rowwise(wp, model.phi[:, : thetas.shape[1]])
+    return wp, b, rowwise(wp, model.phi[:, : thetas.shape[1]])
 
 
 def _covariances(phi_outer: np.ndarray, wp: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -313,6 +310,8 @@ def newton_minimize(
     shape of ``target``): every row has its own convergence test,
     line search and failure, and the call returns ``(theta, errors)``, where
     a failed row of ``theta`` is NaN and ``errors[i]`` is its error or None.
+    The ridge for an exactly singular Hessian is decided per row, so no row
+    depends on the rest of its batch.
     """
     single = np.ndim(target) == 1
     target = np.atleast_2d(np.asarray(target, dtype=float))
@@ -355,9 +354,11 @@ def newton_minimize(
         try:
             step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            # an exactly singular Hessian: regularize the diagonals and retry
-            ridge = NEWTON_RIDGE * np.maximum(np.trace(hess, axis1=1, axis2=2), 1.0)
-            hess += ridge[:, None, None] * np.eye(k)
+            # exactly singular Hessians (a zero pivot in the LU factorization
+            # ``solve`` uses): regularize those rows' diagonals and retry
+            singular = np.linalg.slogdet(hess)[0] == 0
+            ridge = NEWTON_RIDGE * np.maximum(np.trace(hess[singular], axis1=1, axis2=2), 1.0)
+            hess[singular] += ridge[:, None, None] * np.eye(k)
             step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
         slope = np.einsum("ij,ij->i", grad, step)
         uphill = slope >= 0

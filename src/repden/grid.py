@@ -3,7 +3,8 @@
 Every function in the package (densities, log-densities, eigenfunctions) is
 carried as its values on a fixed equispaced grid over a compact interval.
 All integrals use the trapezoidal rule with weights from :attr:`Domain.trap_weights`,
-so linear identities hold exactly in the discrete system.
+so linear identities hold exactly in the discrete system.  The one density
+floor, :data:`DENSITY_FLOOR`, and normalization check, :func:`check_normalized`, live here.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from functools import cached_property
 import numpy as np
 
 NORMALIZATION_TOL = 1e-6
+
+# Floor applied to gridded densities so the log transform never sees an exact
+# zero (kernel sums and exponentials underflow in the tails).  Kept near the
+# bottom of the double range: a larger floor flattens genuine Gaussian
+# log-tails into plateaus and corrupts the leading modes of variation.
+DENSITY_FLOOR = 1e-300
 
 
 class DomainMismatchError(ValueError):
@@ -112,6 +119,14 @@ def inner(f: GridFn, g: GridFn) -> float:
     return float(f.domain.trap_weights @ (f.values * g.values))
 
 
+def check_normalized(p: GridFn, name: str = "density") -> None:
+    """Raise :class:`NotNormalizedError`, naming ``p`` as ``name``, unless it
+    integrates to one within ``NORMALIZATION_TOL``."""
+    total = integrate(p)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalizedError(f"{name} integrates to {total}, expected 1")
+
+
 def cdf_on_grid(p: GridFn) -> np.ndarray:
     """Cumulative trapezoidal integral of ``p``; entry ``j`` is mass up to ``t_j``."""
     v = p.values
@@ -132,9 +147,7 @@ def quantile_of_density(p: GridFn, q: float) -> float:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     if np.any(p.values < 0):
         raise ValueError("density values must be nonnegative")
-    total = integrate(p)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(f"density integrates to {total}, expected 1")
+    check_normalized(p)
     cdf = cdf_on_grid(p)
     q_eff = min(q, cdf[-1])
     j = int(np.searchsorted(cdf, q_eff, side="left"))

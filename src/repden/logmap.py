@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFn, NotNormalizedError, integrate, NORMALIZATION_TOL
+from .grid import GridFn, check_normalized, integrate
 
 CENTERING_TOL = 1e-6
 
@@ -45,9 +45,7 @@ def clog_transform(p: GridFn) -> LogDensityFn:
     """Map a strictly positive normalized density to its centered log."""
     if np.any(p.values <= 0):
         raise ValueError("density must be strictly positive on the grid")
-    total = integrate(p)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(f"density integrates to {total}, expected 1")
+    check_normalized(p)
     logp = np.log(p.values)
     c = float(p.domain.trap_weights @ logp) / p.domain.length
     return LogDensityFn(GridFn(p.domain, logp - c))

@@ -45,7 +45,8 @@ def fit_scaled(
 
     When some response is below one, the lower endpoint drops to
     ``min(log Y) - delta`` instead so every observation stays interior; a
-    warning records the widened domain.
+    warning records the widened domain.  Responses whose response grid
+    overflows (see :func:`response_domain`) are rejected.
     """
     if delta <= 0:
         raise ValueError(f"domain pad must be positive, got {delta}")
@@ -63,6 +64,7 @@ def fit_scaled(
             stacklevel=2,
         )
     domain = Domain(lo, x_max + delta, n_grid)
+    response_domain(domain)
     model = train_family(logged, domain, k_max, bandwidth=bandwidth)
     model.meta.log_scale = True
     model.meta.delta = float(delta)
@@ -104,16 +106,26 @@ def fit_original_scale(
     return _unwrap(fit(m.inner, s, method, k=k, k_max=k_max), single)
 
 
+def response_domain(dom: Domain) -> Domain:
+    """The response grid of a log-scale domain: ``[exp(lo), exp(hi)]`` with
+    four times as many points.  A ``ValueError`` if ``exp(hi)`` overflows."""
+    with np.errstate(over="ignore"):
+        hi = float(np.exp(dom.hi))
+    if not np.isfinite(hi):
+        raise ValueError(f"log-scale domain ends at {dom.hi:.6g}, so the response grid "
+                         "overflows; responses must stay below exp(709.78 - delta)")
+    return Domain(float(np.exp(dom.lo)), hi, 4 * dom.n_grid)
+
+
 def pushforward_values(dom: Domain, px: np.ndarray) -> tuple[Domain, np.ndarray]:
     """Positive log-scale densities carried to the response scale,
     ``p_Y(y) = p_X(log y) / y``, for each row of ``px`` (values on ``dom``).
 
-    The response grid spans ``[exp(lo), exp(hi)]`` with four times as many
-    points as the log-scale grid; ``log p_X`` is interpolated linearly at
-    ``log y``, and each row is renormalized under the response-grid
-    trapezoidal rule.  Returns the response domain and the ``(m, 4G)`` values.
+    The response grid is :func:`response_domain`; ``log p_X`` is interpolated
+    linearly at ``log y``, and each row is renormalized under the
+    response-grid trapezoidal rule.  Returns the response domain and the ``(m, 4G)`` values.
     """
-    ydom = Domain(float(np.exp(dom.lo)), float(np.exp(dom.hi)), 4 * dom.n_grid)
+    ydom = response_domain(dom)
     log_y = np.log(ydom.grid)
     vals = np.exp([np.interp(log_y, dom.grid, row) for row in np.log(px)]) / ydom.grid
     return ydom, vals / rowwise(vals, ydom.trap_weights[:, None])

@@ -8,14 +8,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .grid import (
-    GridFn,
-    NORMALIZATION_TOL,
-    NotNormalizedError,
-    DomainMismatchError,
-    integrate,
-    quantile_of_density,
-)
+from .grid import DomainMismatchError, GridFn, check_normalized, quantile_of_density
 
 # Points where the reference density is below this floor contribute zero,
 # which realizes the 0 * log 0 = 0 convention on the grid.
@@ -56,12 +49,6 @@ class EvalReport:
         )
 
 
-def _check_density(p: GridFn, name: str) -> None:
-    total = integrate(p)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(f"{name} integrates to {total}, expected 1")
-
-
 def kl_div(p: GridFn, q: GridFn) -> float:
     """Information loss ``int p log(p / q)`` on the shared grid.
 
@@ -72,8 +59,8 @@ def kl_div(p: GridFn, q: GridFn) -> float:
         raise DomainMismatchError("densities live on different domains")
     if np.any(p.values < 0):
         raise ValueError("reference density has negative values")
-    _check_density(p, "reference density")
-    _check_density(q, "approximating density")
+    check_normalized(p, "reference density")
+    check_normalized(q, "approximating density")
     support = p.values > KL_SUPPORT_FLOOR
     if np.any(q.values[support] <= 0):
         raise InfiniteDivergenceError(

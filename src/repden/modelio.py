@@ -24,6 +24,7 @@ from .expfam import FamilyModel, ModelMeta
 from .fpca import EigenSystem
 from .grid import Domain, GridFn
 from .logmap import LogDensityFn
+from .logscale import response_domain
 from .presmooth import SubpopSample
 
 FORMAT_VERSION = 1
@@ -94,6 +95,8 @@ def model_from_dict(payload: dict) -> FamilyModel:
             seed=prov.get("seed"),
             timestamp=prov.get("timestamp"),
         )
+        if meta.log_scale:
+            response_domain(domain)
         return FamilyModel(sys=sys, domain=domain, train_densities=densities, meta=meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Domain, GridFn
-
-# Floor applied to pilot densities so the log transform downstream never sees
-# an exact zero (kernel sums underflow far from all observations).  Kept near
-# the bottom of the double range: a larger floor flattens genuine Gaussian
-# log-tails into plateaus and corrupts the leading modes of variation.
-DENSITY_FLOOR = 1e-300
+from .grid import DENSITY_FLOOR, Domain, GridFn
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Domain, GridFn, NORMALIZATION_TOL, NotNormalizedError, cdf_on_grid, integrate
+from .grid import DENSITY_FLOOR, Domain, GridFn, cdf_on_grid, check_normalized
 from .presmooth import SubpopSample
 
 SCENARIO_KINDS = (
@@ -40,9 +40,6 @@ SCENARIO_DEFAULTS = {
     "rand_intercept_normal": (100, (75, 100), 100, (10, 20)),
     "rand_intercept_t3": (100, (75, 100), 100, (10, 20)),
 }
-
-_TRUTH_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -98,7 +95,7 @@ def scenario_domain(kind: str, n_grid: int = 512) -> Domain:
 
 
 def _normalize(domain: Domain, raw: np.ndarray) -> GridFn:
-    raw = np.maximum(raw, _TRUTH_FLOOR)
+    raw = np.maximum(raw, DENSITY_FLOOR)
     return GridFn(domain, raw / (domain.trap_weights @ raw))
 
 
@@ -157,9 +154,7 @@ def _draw_size(size: int | tuple[int, int], rng: np.random.Generator) -> int:
 
 def inverse_cdf_sample(p: GridFn, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` observations from the gridded density by CDF inversion."""
-    total = integrate(p)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalizedError(f"density integrates to {total}, expected 1")
+    check_normalized(p)
     if n == 0:
         return np.empty(0)
     cdf = cdf_on_grid(p)
@@ -190,20 +185,12 @@ def generate(
     domain = scenario_domain(spec.kind, n_grid)
     train_root, test_root = np.random.SeedSequence(spec.seed).spawn(2)
 
-    train: list[SubpopSample] = []
-    for i, child in enumerate(train_root.spawn(spec.n_train)):
-        rng = np.random.default_rng(child)
-        truth = _draw_truth(spec.kind, rng, domain)
-        size = _draw_size(spec.train_size, rng)
-        obs = inverse_cdf_sample(truth, size, rng)
-        train.append(SubpopSample(id=f"train_{i:04d}", obs=obs))
+    def draw(root, n, size, prefix):
+        for i, child in enumerate(root.spawn(n)):
+            rng = np.random.default_rng(child)
+            truth = _draw_truth(spec.kind, rng, domain)
+            obs = inverse_cdf_sample(truth, _draw_size(size, rng), rng)
+            yield SubpopSample(id=f"{prefix}_{i:04d}", obs=obs), truth
 
-    test: list[tuple[SubpopSample, GridFn]] = []
-    for i, child in enumerate(test_root.spawn(spec.n_test)):
-        rng = np.random.default_rng(child)
-        truth = _draw_truth(spec.kind, rng, domain)
-        size = _draw_size(spec.test_size, rng)
-        obs = inverse_cdf_sample(truth, size, rng)
-        test.append((SubpopSample(id=f"test_{i:04d}", obs=obs), truth))
-
-    return train, test
+    train = [s for s, _ in draw(train_root, spec.n_train, spec.train_size, "train")]
+    return train, list(draw(test_root, spec.n_test, spec.test_size, "test"))
