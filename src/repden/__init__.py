@@ -10,7 +10,22 @@ The top level exports the five names of the quick start; everything else
 is imported from its module, e.g. ``repden.logscale`` or ``repden.modelio``.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# numpy's bundled OpenBLAS reads its thread count once, when numpy loads it.
+# Every fit product is taken one row at a time (``expfam.rowwise``), so only
+# training's one ``eigh`` gains from a second BLAS thread (about 8 ms at 512
+# grid points), yet that thread costs up to about 70 ms of each command's
+# start-up and 10-20% of its CPU time (2 CPUs), and the threaded ``eigh`` in
+# ``fpca.fit_fpca`` gives training bits that depend on the thread count.  One
+# thread, whatever the environment says, makes ``train`` and ``simulate``
+# repeat bit for bit.  A process that loaded numpy first keeps its own count;
+# MKL and Accelerate do not read this variable.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .estimators import fit
 from .expfam import density, train_family

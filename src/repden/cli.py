@@ -6,8 +6,9 @@ one process: ``fit`` and ``evaluate`` fit as batches, ``simulate`` runs its
 replications in order; all three accept ``--threads`` for compatibility and
 ignore it.  ``train`` pre-smooths its groups on one thread per available
 CPU, which leaves its model unchanged.  Every command is deterministic given
-its inputs, flags, and seed; ``train`` and ``simulate`` only for a fixed
-BLAS thread count, since the FPCA of training is BLAS-threaded.
+its inputs, flags, and seed: ``import repden`` starts numpy's OpenBLAS on one
+thread, so training's BLAS-threaded FPCA does not depend on
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ One replication draws fresh training and testing populations, trains the
 family on the training samples, fits every testing sample with the
 requested methods plus a per-sample KDE baseline, and scores each fit by KL
 divergence against the known truth.  Replications run in order in the
-calling process, each seeded from the master seed and its index; the
-scores repeat bit for bit under a fixed BLAS thread count, which training's
-FPCA depends on.
+calling process, each seeded from the master seed and its index.  Under the
+CLI the scores repeat bit for bit whatever ``OPENBLAS_NUM_THREADS`` says;
+a program that imported numpy before repden keeps its BLAS thread count,
+which training's FPCA depends on.
 """
 
 from __future__ import annotations
