@@ -51,7 +51,7 @@ from .modelio import (
 )
 from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
 from .simgen import SCENARIO_KINDS, default_spec
-from .simulate import run_scenario
+from .simulate import run_replication
 
 
 class UsageError(Exception):
@@ -295,27 +295,26 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes = run_scenario(
-        spec,
-        reps=args.reps,
-        k_max=args.k_max,
-        n_grid=args.grid,
-        bandwidth=args.bandwidth,
-        keep_data=True,
-    )
-
-    methods = list(outcomes[0].mkl)
-    for out in outcomes:
-        rep_dir = out_dir / "reps" / f"rep_{out.rep:04d}"
+    # write each replication's files once it is scored, and keep only its MKL
+    scores = []
+    for rep in range(args.reps):
+        try:
+            out = run_replication(spec, rep, k_max=args.k_max, n_grid=args.grid,
+                                  bandwidth=args.bandwidth)
+        except FIT_ERRORS as exc:
+            raise TotalNumericalFailure(f"replication {rep}: {exc}") from exc
+        rep_dir = out_dir / "reps" / f"rep_{rep:04d}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         write_samples_csv(rep_dir / "train.csv", out.train)
         write_samples_csv(rep_dir / "test.csv", [s for s, _ in out.test])
         write_csv(rep_dir / "truths.csv", ("subpop_id", "t", "density"),
                   ((s.id, truth.domain, truth.values) for s, truth in out.test))
+        scores.append(out.mkl)
 
-    table = [(out.rep, m, out.mkl[m]) for out in outcomes for m in methods]
+    methods = list(scores[0])
+    table = [(rep, m, mkl[m]) for rep, mkl in enumerate(scores) for m in methods]
     write_csv(out_dir / "mkl_per_rep.csv", ("rep", "method", "mkl"), table)
-    reports = [(m, EvalReport.from_pairs((out.rep, out.mkl[m]) for out in outcomes))
+    reports = [(m, EvalReport.from_pairs((rep, mkl[m]) for rep, mkl in enumerate(scores)))
                for m in methods]
     table = [(m, r.mean, r.median, r.sd) for m, r in reports]
     write_csv(out_dir / "mkl_summary.csv", ("method", "mean", "median", "sd"), table)
@@ -338,31 +337,26 @@ def cmd_simulate(args) -> int:
 # evaluate
 
 
-def _kde_refit(loaded: _Loaded, full_sample: SubpopSample):
-    """KDE refit callback for one subpopulation; evaluates in the data's scale.
+def _loo_kde(loaded: _Loaded, sample: SubpopSample) -> dict:
+    """The KDE leave-one-out cross-entropy of one sample, or the fit error
+    that stopped it; any other error propagates.
 
     The sample is taken to the model's scale once, for the bandwidth and for
     every refit, which looks its subset up in the mapped values; a refit
     reaches the data's scale through the same carry as the family fits.
     """
-    y = full_sample.obs
-    x = loaded.obs(y)
-    cfg = KdeConfig(bandwidth=silverman_bandwidth(SubpopSample(id=full_sample.id, obs=x)))
-
-    def fit_kde(subset: np.ndarray) -> GridFn:
-        sample = SubpopSample(id="loo", obs=x[np.searchsorted(y, subset)])
-        kde = weighted_kde(sample, cfg, loaded.model.domain)
-        dom, values = loaded.carry(kde.domain, kde.values[None])
-        return GridFn(dom, values[0])
-
-    return fit_kde
-
-
-def _loo_kde(loaded: _Loaded, sample: SubpopSample) -> dict:
-    """The KDE leave-one-out cross-entropy of one sample, or the fit error
-    that stopped it; any other error propagates."""
+    y = sample.obs
     try:
-        return {"loo_ce": loo_cross_entropy(_kde_refit(loaded, sample), sample.obs)}
+        x = loaded.obs(y)
+        cfg = KdeConfig(bandwidth=silverman_bandwidth(SubpopSample(id=sample.id, obs=x)))
+
+        def fit_kde(subset: np.ndarray) -> GridFn:
+            subsample = SubpopSample(id="loo", obs=x[np.searchsorted(y, subset)])
+            kde = weighted_kde(subsample, cfg, loaded.model.domain)
+            dom, values = loaded.carry(kde.domain, kde.values[None])
+            return GridFn(dom, values[0])
+
+        return {"loo_ce": loo_cross_entropy(fit_kde, y)}
     except (LooRefitError, *FIT_ERRORS) as exc:
         if isinstance(exc, LooRefitError) and not isinstance(exc.__cause__, FIT_ERRORS):
             raise

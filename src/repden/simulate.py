@@ -4,7 +4,9 @@ One replication draws fresh training and testing populations, trains the
 family on the training samples, fits every testing sample with the
 requested methods plus a per-sample KDE baseline, and scores each fit by KL
 divergence against the known truth.  Replications run in order in the
-calling process, each seeded from the master seed and its index.  Under the
+calling process, each seeded from the master seed and its index.  The CLI
+writes each replication's files as soon as it is scored and keeps only its
+MKL, so its memory does not grow with the replication count.  Under the
 CLI the scores repeat bit for bit whatever ``OPENBLAS_NUM_THREADS`` says;
 a program that imported numpy before repden keeps its BLAS thread count,
 which training's FPCA depends on.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import FAMILY_METHODS, fit
+from .estimators import FAMILY_METHODS, fit, prepare
 from .expfam import density, train_family
 from .grid import GridFn
 from .metrics import EvalReport, mean_kl
@@ -26,7 +28,8 @@ from .simgen import ScenarioSpec, generate, scenario_domain, smallest_size
 
 @dataclass(frozen=True)
 class RepOutcome:
-    """Scores of one replication: per-method MKL and per-fit details."""
+    """One replication: per-method MKL and selected truncations, with the
+    training samples and the testing samples and truths they came from."""
 
     rep: int
     mkl: dict[str, float]
@@ -55,7 +58,6 @@ def run_replication(
     methods: tuple[str, ...] = FAMILY_METHODS,
     kde_baseline: bool = True,
     bandwidth: float | None = None,
-    keep_data: bool = False,
 ) -> RepOutcome:
     # a one-observation sample has no rule-of-thumb bandwidth; fail here,
     # not after generating and training
@@ -72,10 +74,11 @@ def run_replication(
     sweep_k = min(k_max, model.n_components)
 
     truths = [truth for _, truth in test]
+    batch = prepare(model, [sample.obs for sample, _ in test], sweep_k)[0]  # once for all methods
     reports: dict[str, EvalReport] = {}
     ks: dict[str, tuple[int, ...]] = {}
     for method in methods:
-        results = fit(model, [sample.obs for sample, _ in test], method, k_max=sweep_k)
+        results = fit(model, batch, method, k_max=sweep_k)
         for result in results:
             if isinstance(result, Exception):
                 raise result
@@ -89,8 +92,8 @@ def run_replication(
         rep=rep,
         mkl={m: r.mean for m, r in reports.items()},
         selected_k=ks,
-        train=train if keep_data else [],
-        test=test if keep_data else [],
+        train=train,
+        test=test,
     )
 
 
@@ -103,12 +106,13 @@ def run_scenario(
     kde_baseline: bool = True,
     bandwidth: float | None = None,
     threads: int = 1,
-    keep_data: bool = False,
 ) -> list[RepOutcome]:
-    """All replications, in order of their index.
+    """All replications, in order of their index, each with its data.
 
+    The list holds every replication's samples; a caller that keeps only
+    scores loops over :func:`run_replication` instead, as the CLI does.
     ``threads`` is accepted for compatibility and ignored.
     """
     return [run_replication(spec, rep, k_max, n_grid=n_grid, methods=methods,
-                            kde_baseline=kde_baseline, bandwidth=bandwidth, keep_data=keep_data)
+                            kde_baseline=kde_baseline, bandwidth=bandwidth)
             for rep in range(reps)]
