@@ -91,6 +91,7 @@ def _int_at_least(least: int, name: str):
 positive_int = _int_at_least(1, "positive_int")
 group_count = _int_at_least(2, "group_count")
 grid_size = _int_at_least(16, "grid_size")
+nonnegative_int = _int_at_least(0, "nonnegative_int")
 
 
 def size_or_range(text: str) -> int | tuple[int, int]:
@@ -509,7 +510,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="run a seeded benchmark scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--reps", type=positive_int, default=50)
     p.add_argument("--n-train", type=group_count, default=None)
     p.add_argument("--train-size", type=size_or_range, default=None,
@@ -549,10 +550,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

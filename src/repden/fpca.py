@@ -42,18 +42,20 @@ class EigenSystem:
         k = eigvals.size
         if len(self.eigfns) != k or scores.ndim != 2 or scores.shape[1] != k:
             raise ValueError("inconsistent component counts")
+        if k == 0:
+            raise ValueError("need at least one component; eigvals, eigfns and scores are empty")
         if np.any(eigvals < 0) or np.any(np.diff(eigvals) > 0):
             raise ValueError("eigenvalues must be nonnegative and nonincreasing")
         if not (np.all(np.isfinite(eigvals)) and np.all(np.isfinite(scores))):
             raise ValueError("eigenvalues and scores must be finite")
         dom = self.mu.domain
         w = dom.trap_weights
-        phi = np.column_stack([f.values for f in self.eigfns]) if k else np.zeros((dom.n_grid, 0))
+        phi = np.column_stack([f.values for f in self.eigfns])
         for f in self.eigfns:
             if f.domain != dom:
                 raise ValueError("eigenfunction domain differs from mean domain")
         gram = phi.T @ (w[:, None] * phi)
-        if k and np.max(np.abs(gram - np.eye(k))) > ORTHONORMALITY_TOL:
+        if np.max(np.abs(gram - np.eye(k))) > ORTHONORMALITY_TOL:
             raise ValueError("eigenfunctions are not orthonormal under the grid inner product")
         eigvals.setflags(write=False)
         scores.setflags(write=False)
@@ -120,7 +122,7 @@ def fit_fpca(trajs: list[LogDensityFn], k_max: int) -> EigenSystem:
         phi = phi / np.sqrt(w @ (phi * phi))
         eigfns.append(GridFn(dom, _align_sign(phi)))
 
-    phi_mat = np.column_stack([f.values for f in eigfns]) if evals.size else np.zeros((dom.n_grid, 0))
+    phi_mat = np.column_stack([f.values for f in eigfns])
     scores = C @ (w[:, None] * phi_mat)
 
     mu = LogDensityFn(GridFn(dom, mu_vals))

@@ -1,45 +1,65 @@
 """Seeded generators for the benchmark scenarios.
 
-Each scenario draws per-subpopulation densities from its population law and
-then draws observations from those densities by inverse-CDF sampling on the
-grid, so samples follow the gridded truths exactly.  Every subpopulation
-gets its own child of the master seed, which keeps generation deterministic
-under any evaluation order.
+A scenario is one row of ``_SCENARIOS``: its domain bounds, its default
+sizes, and its truth law, which draws one subpopulation's density from the
+population.  Observations are drawn from each density by inverse-CDF
+sampling on the grid, so samples follow the gridded truths exactly.  Every
+subpopulation gets its own child of the master seed, which keeps generation
+deterministic under any evaluation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import DENSITY_FLOOR, Domain, GridFn, cdf_on_grid, check_normalized
 from .presmooth import SubpopSample
 
-SCENARIO_KINDS = (
-    "trunc_normal",
-    "bimodal",
-    "gauss_mixture",
-    "rand_intercept_normal",
-    "rand_intercept_t3",
-)
 
-_SCENARIO_BOUNDS = {
-    "trunc_normal": (-3.0, 3.0),
-    "bimodal": (0.0, 1.0),
-    "gauss_mixture": (-3.0, 3.0),
-    "rand_intercept_normal": (-10.0, 10.0),
-    "rand_intercept_t3": (-10.0, 10.0),
-}
+class _Scenario(NamedTuple):
+    """Domain bounds, default ``(n_train, train_size, n_test, test_size)``,
+    and the law ``truth(rng, domain)`` of one subpopulation's density."""
 
-# Default sizes per scenario: (n_train, train_size, n_test, test_size).
-SCENARIO_DEFAULTS = {
-    "trunc_normal": (50, 200, 100, 10),
-    "bimodal": (50, 200, 100, 50),
-    "gauss_mixture": (50, 100, 100, 25),
-    "rand_intercept_normal": (100, (75, 100), 100, (10, 20)),
-    "rand_intercept_t3": (100, (75, 100), 100, (10, 20)),
+    bounds: tuple[float, float]
+    sizes: tuple
+    truth: Callable[[np.random.Generator, Domain], GridFn]
+
+
+# A law draws its parameters in the order written (arguments are evaluated
+# left to right); that order fixes every generated value.
+_SCENARIOS = {
+    "trunc_normal": _Scenario(
+        (-3.0, 3.0), (50, 200, 100, 10),
+        lambda rng, d: truth_trunc_normal(d, rng.uniform(-2, 2), rng.uniform(2, 4)),
+    ),
+    "bimodal": _Scenario(
+        (0.0, 1.0), (50, 200, 100, 50),
+        lambda rng, d: truth_bimodal(d, rng.uniform(0, 10)),
+    ),
+    "gauss_mixture": _Scenario(
+        (-3.0, 3.0), (50, 100, 100, 25),
+        lambda rng, d: truth_gauss_mixture(
+            d,
+            weights=rng.dirichlet([1 / 3, 1 / 3, 1 / 3]),
+            means=rng.uniform(-5, 5, size=3),
+            sds=rng.uniform(0.5, 5, size=3),
+        ),
+    ),
+    "rand_intercept_normal": _Scenario(
+        (-10.0, 10.0), (100, (75, 100), 100, (10, 20)),
+        lambda rng, d: truth_rand_intercept(d, rng.normal(0.0, 1.0), heavy_tail=False),
+    ),
+    "rand_intercept_t3": _Scenario(
+        (-10.0, 10.0), (100, (75, 100), 100, (10, 20)),
+        lambda rng, d: truth_rand_intercept(d, rng.normal(0.0, 1.0), heavy_tail=True),
+    ),
 }
+SCENARIO_KINDS = tuple(_SCENARIOS)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -59,6 +79,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.kind!r}; expected one of {SCENARIO_KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name, count in (("n_train", self.n_train), ("n_test", self.n_test)):
             if count < 1:
                 raise ValueError(f"{name} must be at least 1, got {count}")
@@ -74,23 +96,13 @@ def smallest_size(size: int | tuple[int, int]) -> int:
 
 def default_spec(kind: str, seed: int, **overrides) -> ScenarioSpec:
     """The scenario's standard design, with any field overridden by keyword."""
-    if kind not in SCENARIO_DEFAULTS:
+    if kind not in _SCENARIOS:
         raise ValueError(f"unknown scenario {kind!r}; expected one of {SCENARIO_KINDS}")
-    n_train, train_size, n_test, test_size = SCENARIO_DEFAULTS[kind]
-    fields = dict(
-        kind=kind,
-        n_train=n_train,
-        train_size=train_size,
-        n_test=n_test,
-        test_size=test_size,
-        seed=seed,
-    )
-    fields.update(overrides)
-    return ScenarioSpec(**fields)
+    return replace(ScenarioSpec(kind, *_SCENARIOS[kind].sizes, seed), **overrides)
 
 
 def scenario_domain(kind: str, n_grid: int = 512) -> Domain:
-    lo, hi = _SCENARIO_BOUNDS[kind]
+    lo, hi = _SCENARIOS[kind].bounds
     return Domain(lo, hi, n_grid)
 
 
@@ -126,23 +138,6 @@ def truth_rand_intercept(domain: Domain, a: float, heavy_tail: bool) -> GridFn:
     else:
         raw = np.exp(-0.5 * z * z)
     return _normalize(domain, raw)
-
-
-def _draw_truth(kind: str, rng: np.random.Generator, domain: Domain) -> GridFn:
-    if kind == "trunc_normal":
-        return truth_trunc_normal(domain, rng.uniform(-2, 2), rng.uniform(2, 4))
-    if kind == "bimodal":
-        return truth_bimodal(domain, rng.uniform(0, 10))
-    if kind == "gauss_mixture":
-        weights = rng.dirichlet([1 / 3, 1 / 3, 1 / 3])
-        means = rng.uniform(-5, 5, size=3)
-        sds = rng.uniform(0.5, 5, size=3)
-        return truth_gauss_mixture(domain, weights, means, sds)
-    if kind == "rand_intercept_normal":
-        return truth_rand_intercept(domain, rng.normal(0.0, 1.0), heavy_tail=False)
-    if kind == "rand_intercept_t3":
-        return truth_rand_intercept(domain, rng.normal(0.0, 1.0), heavy_tail=True)
-    raise ValueError(f"unknown scenario {kind!r}")
 
 
 def _draw_size(size: int | tuple[int, int], rng: np.random.Generator) -> int:
@@ -188,7 +183,7 @@ def generate(
     def draw(root, n, size, prefix):
         for i, child in enumerate(root.spawn(n)):
             rng = np.random.default_rng(child)
-            truth = _draw_truth(spec.kind, rng, domain)
+            truth = _SCENARIOS[spec.kind].truth(rng, domain)
             obs = inverse_cdf_sample(truth, _draw_size(size, rng), rng)
             yield SubpopSample(id=f"{prefix}_{i:04d}", obs=obs), truth
 

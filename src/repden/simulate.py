@@ -31,7 +31,6 @@ class RepOutcome:
     """One replication: per-method MKL and selected truncations, with the
     training samples and the testing samples and truths they came from."""
 
-    rep: int
     mkl: dict[str, float]
     selected_k: dict[str, tuple[int, ...]]
     train: list[SubpopSample]
@@ -89,7 +88,6 @@ def run_replication(
         ks["kde"] = (0,) * len(test)
 
     return RepOutcome(
-        rep=rep,
         mkl={m: r.mean for m, r in reports.items()},
         selected_k=ks,
         train=train,
