@@ -16,14 +16,16 @@ import sys
 __version__ = "0.1.0"
 
 # numpy's bundled OpenBLAS reads its thread count once, when numpy loads it.
-# Every fit product is taken one row at a time (``expfam.rowwise``), so only
-# training's one ``eigh`` gains from a second BLAS thread (about 8 ms at 512
-# grid points), yet that thread costs up to about 70 ms of each command's
-# start-up and 10-20% of its CPU time (2 CPUs), and the threaded ``eigh`` in
-# ``fpca.fit_fpca`` gives training bits that depend on the thread count.  One
-# thread, whatever the environment says, makes ``train`` and ``simulate``
-# repeat bit for bit.  A process that loaded numpy first keeps its own count;
-# MKL and Accelerate do not read this variable.
+# Every fit product is taken one row at a time (``expfam.rowwise``), and
+# ``fpca.fit_fpca`` decomposes an n x n Gram matrix when there are fewer
+# groups than grid points.  Only a training set with at least as many groups
+# as grid points takes the G x G product and ``eigh`` that gain from a second
+# BLAS thread (5-17 ms for 600-3000 groups at 512 grid points), and only
+# there does the thread count change training's bits; yet that thread costs
+# up to about 70 ms of each command's start-up and 10-20% of its CPU time
+# (2 CPUs).  One thread, whatever the environment says, makes ``train`` and
+# ``simulate`` repeat bit for bit.  A process that loaded numpy first keeps
+# its own count; MKL and Accelerate do not read this variable.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

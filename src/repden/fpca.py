@@ -1,10 +1,17 @@
 """Principal component analysis of the transformed training trajectories.
 
 The sample covariance of the centered log-densities is discretized with
-trapezoidal quadrature weights ``W`` and the symmetric problem is solved on
-``W^{1/2} G W^{1/2}``; eigenvectors map back through ``W^{-1/2}``, which
-makes the eigenfunctions orthonormal in the weighted inner product that the
-rest of the package uses.
+trapezoidal quadrature weights ``W`` and the symmetric problem is that of
+``W^{1/2} G W^{1/2} = X^T X``, where ``X = C W^{1/2} / sqrt(n)`` holds the n
+weighted, centered log-densities on G grid points.  With n < G the n x n
+Gram matrix ``X X^T`` is decomposed instead: it has the same nonzero
+eigenvalues, and ``X^T u`` is the eigenvector for its eigenvector ``u``
+(Sirovich's snapshot method, Q. Appl. Math. 45, 1987), so a G x G matrix
+and its ``eigh`` workspace are never formed.  With n >= G, or when the
+log-densities do not vary at all, the G x G matrix is decomposed.
+Eigenvectors map back through ``W^{-1/2}``, which makes the eigenfunctions
+orthonormal in the weighted inner product that the rest of the package
+uses.
 """
 
 from __future__ import annotations
@@ -105,9 +112,16 @@ def fit_fpca(trajs: list[LogDensityFn], k_max: int) -> EigenSystem:
 
     w = dom.trap_weights
     sw = np.sqrt(w)
-    # A = W^{1/2} G W^{1/2} with G(s,t) = (1/n) sum_i c_i(s) c_i(t)
-    A = (sw[:, None] * (C.T @ C) * sw[None, :]) / n
-    evals, evecs = np.linalg.eigh(A)
+    if n < dom.n_grid and C.any():
+        # the n x n Gram matrix; without variation X^T u is 0 and would be
+        # normalized as 0 / 0, so that case takes the G x G matrix below
+        X = C * (sw / np.sqrt(n))
+        evals, U = np.linalg.eigh(X @ X.T)
+        evecs = X.T @ U
+    else:
+        # A = W^{1/2} G W^{1/2} with G(s,t) = (1/n) sum_i c_i(s) c_i(t)
+        A = (sw[:, None] * (C.T @ C) * sw[None, :]) / n
+        evals, evecs = np.linalg.eigh(A)
     order = np.argsort(evals)[::-1][:k_max]
     evals = np.clip(evals[order], 0.0, None)
     evecs = evecs[:, order]

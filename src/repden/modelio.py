@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, islice, pairwise, repeat
 from math import isfinite
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable
 
@@ -30,6 +31,9 @@ from .presmooth import SubpopSample
 FORMAT_VERSION = 1
 
 SAMPLE_HEADER = ["subpop_id", "value"]
+
+# Rows of a sample CSV parsed at a time.
+CHUNK_ROWS = 1024
 
 
 class SampleFormatError(ValueError):
@@ -116,8 +120,15 @@ def load_model(path) -> FamilyModel:
 
 
 def read_samples_csv(path) -> list[SubpopSample]:
-    """Parse a sample CSV, grouping rows by subpopulation in first-seen order."""
-    groups: dict[str, list[float]] = {}
+    """Parse a sample CSV, grouping rows by subpopulation in first-seen order.
+
+    Rows are taken ``CHUNK_ROWS`` at a time: each chunk's values are parsed
+    into one float64 array and each run of equal ids is kept as a slice of
+    it, so a group's values cost 8 bytes each in place of a Python float
+    and a list pointer.  A chunk that fails a check is checked again row by
+    row, which reports the first bad row of the file as its line number.
+    """
+    runs: dict[str, list[np.ndarray]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -125,22 +136,61 @@ def read_samples_csv(path) -> list[SubpopSample]:
             raise SampleFormatError(
                 f"expected header {','.join(SAMPLE_HEADER)!r}, got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-            sid, raw = row
+        lineno = 2  # the line number of the chunk's first row
+        while True:
+            rows: list[list[str]] = []
             try:
-                value = float(raw)
-            except ValueError as exc:
-                raise SampleFormatError(f"line {lineno}: bad value {raw!r}") from exc
-            if not isfinite(value):
-                raise SampleFormatError(f"line {lineno}: non-finite value {raw!r}")
-            groups.setdefault(sid, []).append(value)
-    if not groups:
+                rows.extend(islice(reader, CHUNK_ROWS))
+            except (csv.Error, ValueError):
+                # a reader or decoding error comes after the rows before it
+                _check_rows(rows, lineno)
+                raise
+            if not rows:
+                break
+            sids, values = _parse_chunk(rows, lineno)
+            lineno += len(rows)
+            if not sids:  # only blank rows
+                continue
+            cuts = [0, *compress(range(1, len(sids)), map(ne, sids[1:], sids[:-1])), len(sids)]
+            for a, b in pairwise(cuts):
+                runs.setdefault(sids[a], []).append(values[a:b])
+    if not runs:
         raise SampleFormatError(f"no sample rows in {Path(path)}")
-    return [SubpopSample(id=sid, obs=np.array(vals)) for sid, vals in groups.items()]
+    # popping each group's slices lets the chunks go as their groups are done
+    return [SubpopSample(id=sid, obs=np.concatenate(runs.pop(sid))) for sid in list(runs)]
+
+
+def _parse_chunk(rows: list[list[str]], lineno: int) -> tuple[list[str], np.ndarray]:
+    """The ids and values of a chunk's non-blank rows, checked all at once."""
+    lengths = set(map(len, rows))
+    if lengths - {0, 2}:
+        _check_rows(rows, lineno)
+    pairs = list(filter(None, rows)) if 0 in lengths else rows
+    try:
+        values = np.fromiter(map(float, map(itemgetter(1), pairs)), float, count=len(pairs))
+    except ValueError:
+        _check_rows(rows, lineno)
+        raise
+    if not np.isfinite(values).all():
+        _check_rows(rows, lineno)
+    return list(map(itemgetter(0), pairs)), values
+
+
+def _check_rows(rows: list[list[str]], first: int) -> None:
+    """Raise for the first row, line ``first`` onward, that is neither blank
+    nor an id and a finite value."""
+    for lineno, row in enumerate(rows, start=first):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise SampleFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+        sid, raw = row
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise SampleFormatError(f"line {lineno}: bad value {raw!r}") from exc
+        if not isfinite(value):
+            raise SampleFormatError(f"line {lineno}: non-finite value {raw!r}")
 
 
 def _cell(value) -> str:
