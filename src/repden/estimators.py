@@ -19,12 +19,12 @@ from .expfam import (
     FamilyModel,
     MomentRangeError,
     NewtonDivergenceError,
+    NewtonRecord,
     natural_from_moment,
     newton_minimize,
     rowwise,
     suffstat_average,
     suffstat_values,
-    _moments,
     _outside_range,
 )
 
@@ -32,10 +32,11 @@ BLUP_RIDGE = 1e-10
 BLUP_COND_LIMIT = 1e12
 BLUP_BOX_MARGIN = 1e-6
 
-# Samples solved together by one call of ``fit``: a batch's working memory is
-# a few arrays of ``BATCH_SIZE x n_grid`` values.  At the default grid they
-# stay in a core's L2 cache; batches of 1024 took about 1.5x as long to solve
-# 4800 leave-one-out subsets.
+# Samples solved together by one call of ``fit``: a batch's Newton solve holds
+# one array of ``BATCH_SIZE x n_grid`` values at a time, the weighted
+# densities of one objective evaluation.  At the default grid it stays in a
+# core's L2 cache; batches of 1024 took about 1.5x as long to solve 4800
+# leave-one-out subsets.
 BATCH_SIZE = 256
 
 
@@ -180,31 +181,33 @@ def _unwrap(results: list, single: bool):
 
 
 def _fit(model: FamilyModel, obs, k: int, theta0, method: str, solve):
-    """Run ``solve(n, phibar, theta0) -> (theta, errors)`` on the samples whose
-    statistics are inside the moment range, and package every row."""
+    """Run ``solve(n, phibar, theta0)``, which returns the solver's
+    :class:`NewtonRecord`, on the samples whose statistics are inside the
+    moment range, and package every row from its record."""
     s, single = prepare(model, obs, k)
     phibar = s.phibar[:, :k]
     errors = list(s.errors)
     for i in np.flatnonzero(_outside_range(model, phibar)):
         errors[i] = MomentRangeError()
     rows = np.flatnonzero([e is None for e in errors])
-    theta = np.full(phibar.shape, np.nan)
+    theta, xi = np.full(phibar.shape, np.nan), np.full(phibar.shape, np.nan)
+    b = np.full(len(s), np.nan)
     if rows.size:
         start = None if theta0 is None else np.reshape(theta0, phibar.shape)[rows]
-        theta[rows], row_errors = solve(s.n[rows], phibar[rows], start)
-        for i, e in zip(rows, row_errors):
+        rec = solve(s.n[rows], phibar[rows], start)
+        theta[rows], xi[rows], b[rows] = rec.theta, rec.xi, rec.b
+        for i, e in zip(rows, rec.errors):
             errors[i] = e
     results: list = errors
     ok = np.flatnonzero([e is None for e in errors])
     if ok.size:
-        _, b, xi = _moments(model, theta[ok])
         n = s.n[ok]
         # the sum over observations of mu + phi @ theta - B, from the means
-        loglik = n * (s.mu_bar[ok] + np.einsum("ij,ij->i", phibar[ok], theta[ok]) - b)
+        loglik = n * (s.mu_bar[ok] + np.einsum("ij,ij->i", phibar[ok], theta[ok]) - b[ok])
         for j, i in enumerate(ok):
             ll = float(loglik[j])
-            results[i] = FitResult(method=method, k=k, theta=theta[i], xi=xi[j],
-                                   log_normalizer=float(b[j]), loglik=ll,
+            results[i] = FitResult(method=method, k=k, theta=theta[i], xi=xi[i],
+                                   log_normalizer=float(b[i]), loglik=ll,
                                    aic_trace=((k, 2.0 * k - 2.0 * ll),), n_obs=int(n[j]))
     return _unwrap(results, single)
 
@@ -234,7 +237,7 @@ def fit_mle(model: FamilyModel, obs, k: int, theta0=None):
     statistic average, so this is a plain moment inversion.
     """
     def solve(n, phibar, start):
-        return newton_minimize(model, k, phibar, theta0=start)
+        return newton_minimize(model, k, phibar, theta0=start, record=True)
 
     return _fit(model, obs, k, theta0, "MLE", solve)
 
@@ -248,11 +251,12 @@ def fit_map(model: FamilyModel, obs, k: int, theta0=None):
     def solve(n, phibar, start):
         svars = model.summary(k).score_vars
         if np.any(svars <= 0):
-            return np.full(phibar.shape, np.nan), [ZeroPriorVarianceError(
+            return NewtonRecord.failed(k, [ZeroPriorVarianceError(
                 "a training score variance is zero for the requested truncation"
-            ) for _ in n]
+            ) for _ in n])
         penalty = 1.0 / (n[:, None] * svars)
-        return newton_minimize(model, k, phibar, diag_penalty=penalty, theta0=start)
+        return newton_minimize(model, k, phibar, diag_penalty=penalty, theta0=start,
+                               record=True)
 
     return _fit(model, obs, k, theta0, "MAP", solve)
 
@@ -303,7 +307,7 @@ def fit_blup(model: FamilyModel, obs, k: int, fit_n: int | None = None,
     def solve(n, phibar, start):
         stats = shrinkage_stats(model, k, n if fit_n is None else fit_n)
         xi = _pull_into_range(model, blup_moment(stats, phibar), stats.tau_bar)
-        return natural_from_moment(model, xi, theta0=start)
+        return natural_from_moment(model, xi, theta0=start, record=True)
 
     return _fit(model, obs, k, theta0, "BLUP", solve)
 
