@@ -126,9 +126,9 @@ def size_strata(text: str) -> list[tuple[float, float, str]]:
 
 
 def method_list(text: str) -> list[str]:
-    """Comma-separated method names, case-insensitive, each a known one given once."""
+    """Comma-separated method names, case-insensitive: known ones, each given once, at least one."""
     methods = [m.strip().lower() for m in text.split(",") if m.strip()]
-    if len(set(methods)) < len(methods) or not set(methods) <= {*FAMILY_METHODS, "kde"}:
+    if not 0 < len(set(methods)) == len(methods) or not set(methods) <= {*FAMILY_METHODS, "kde"}:
         raise ValueError(text)
     return methods
 

@@ -237,7 +237,7 @@ def fit_mle(model: FamilyModel, obs, k: int, theta0=None):
     statistic average, so this is a plain moment inversion.
     """
     def solve(n, phibar, start):
-        return newton_minimize(model, k, phibar, theta0=start, record=True)
+        return newton_minimize(model, k, phibar, theta0=start)
 
     return _fit(model, obs, k, theta0, "MLE", solve)
 
@@ -255,8 +255,7 @@ def fit_map(model: FamilyModel, obs, k: int, theta0=None):
                 "a training score variance is zero for the requested truncation"
             ) for _ in n])
         penalty = 1.0 / (n[:, None] * svars)
-        return newton_minimize(model, k, phibar, diag_penalty=penalty, theta0=start,
-                               record=True)
+        return newton_minimize(model, k, phibar, diag_penalty=penalty, theta0=start)
 
     return _fit(model, obs, k, theta0, "MAP", solve)
 
@@ -307,7 +306,7 @@ def fit_blup(model: FamilyModel, obs, k: int, fit_n: int | None = None,
     def solve(n, phibar, start):
         stats = shrinkage_stats(model, k, n if fit_n is None else fit_n)
         xi = _pull_into_range(model, blup_moment(stats, phibar), stats.tau_bar)
-        return natural_from_moment(model, xi, theta0=start, record=True)
+        return natural_from_moment(model, xi, theta0=start)
 
     return _fit(model, obs, k, theta0, "BLUP", solve)
 

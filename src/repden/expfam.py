@@ -349,8 +349,7 @@ def newton_minimize(
     target: np.ndarray,
     diag_penalty: np.ndarray | None = None,
     theta0: np.ndarray | None = None,
-    record: bool = False,
-):
+) -> NewtonRecord:
     """Minimize ``B(theta) - theta @ target + 0.5 theta' diag(d) theta``.
 
     This convex objective covers plain moment inversion and maximum
@@ -358,22 +357,18 @@ def newton_minimize(
     Newton with Armijo backtracking; converges when the gradient max-norm
     drops below ``NEWTON_GRAD_TOL``.
 
-    A ``(k,)`` target is one problem: the minimizer is returned and a
-    failure raises :class:`NewtonDivergenceError`.  An ``(m, k)`` target is
-    ``m`` problems solved together (``diag_penalty`` and ``theta0`` take the
-    shape of ``target``): every row has its own convergence test,
-    line search and failure, and the call returns ``(theta, errors)``, where
-    a failed row of ``theta`` is NaN and ``errors[i]`` is its error or None.
-    The ridge for an exactly singular Hessian is decided per row, so no row
-    depends on the rest of its batch.  With ``record=True`` the call returns
-    a :class:`NewtonRecord` instead, of one row for a ``(k,)`` target, and
-    raises no row's error.
+    An ``(m, k)`` target is ``m`` problems solved together
+    (``diag_penalty`` and ``theta0`` take the shape of ``target``), and a
+    ``(k,)`` target is one.  Every row has its own convergence test, line
+    search and failure, and the call returns their :class:`NewtonRecord`,
+    where a failed row of ``theta`` is NaN and ``errors[i]`` is its error or
+    None; no row's error is raised.  The ridge for an exactly singular
+    Hessian is decided per row, so no row depends on the rest of its batch.
 
     Each objective evaluation holds one ``(m, n_grid)`` buffer, the weighted
     densities; it is dropped once the second moments of the rows whose step
     it accepts are taken, so only per-row values carry across iterations.
     """
-    single = np.ndim(target) == 1
     target = np.atleast_2d(np.asarray(target, dtype=float))
     m = target.shape[0]
     errors: list[NewtonDivergenceError | None] = [None] * m
@@ -473,23 +468,17 @@ def newton_minimize(
                 "target may sit too close to the attainable boundary"
             )
     th[[e is not None for e in errors]] = np.nan
-    if record:
-        return NewtonRecord(theta=th, errors=tuple(errors), b=b_out, xi=xi_out,
-                            iterations=iterations, halvings=halvings, grad_norm=grad_norm)
-    if single:
-        if errors[0] is not None:
-            raise errors[0]
-        return th[0]
-    return th, errors
+    return NewtonRecord(theta=th, errors=tuple(errors), b=b_out, xi=xi_out,
+                        iterations=iterations, halvings=halvings, grad_norm=grad_norm)
 
 
-def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None,
-                        record: bool = False):
+def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None):
     """Invert the moment map: the ``theta`` with ``moment_map(theta) = xi``.
 
-    ``xi`` is one target or a batch, and ``record`` asks for a
-    :class:`NewtonRecord`, as in :func:`newton_minimize`; every row must be
-    finite and inside the moment range.
+    Every row of ``xi`` must be finite and inside the moment range.  An
+    ``(m, k)`` batch returns the solve's :class:`NewtonRecord`; a ``(k,)``
+    target returns its ``theta``, or raises its
+    :class:`NewtonDivergenceError`.
     """
     xi = np.asarray(xi, dtype=float)
     k = xi.shape[-1]
@@ -501,7 +490,12 @@ def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None
         raise ValueError("xi must be finite")
     if np.any(_outside_range(model, xi)):
         raise MomentRangeError()
-    return newton_minimize(model, k, xi, theta0=theta0, record=record)
+    rec = newton_minimize(model, k, xi, theta0=theta0)
+    if xi.ndim == 2:
+        return rec
+    if rec.errors[0] is not None:
+        raise rec.errors[0]
+    return rec.theta[0]
 
 
 def _presmooth_workers(n_samples: int) -> int:

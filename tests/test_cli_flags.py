@@ -67,6 +67,7 @@ def test_strata_must_increase_strictly(model_and_csv, tmp_path, capsys, strata):
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--bandwidth", "-1"],
         ["train", "{new}", "--out", "{out}/m.json", "--domain=3,-3"],
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--train-size", "5:3"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--loo", "--methods", ","],
     ],
 )
 def test_malformed_flag_values_exit_1(model_and_csv, tmp_path, capsys, argv):

@@ -20,9 +20,9 @@ def _thetas(data, k: int, max_rows: int = 6) -> np.ndarray:
 def test_batched_newton_recovers_parameters(trained_model, data, k):
     truth = _thetas(data, k)
     targets = np.array([moment_map(trained_model, t) for t in truth])
-    theta, errors = newton_minimize(trained_model, k, targets)
-    assert errors == [None] * len(truth)
-    for t, target, got in zip(truth, targets, theta):
+    rec = newton_minimize(trained_model, k, targets)
+    assert rec.errors == (None,) * len(truth)
+    for t, target, got in zip(truth, targets, rec.theta):
         assert np.max(np.abs(moment_map(trained_model, got) - target)) < NEWTON_GRAD_TOL
         assert np.max(np.abs(got - t)) < 1e-6
 

@@ -8,6 +8,7 @@ import pytest
 from repden.estimators import _pull_into_range, blup_moment, shrinkage_stats
 from repden.expfam import (
     NEWTON_GRAD_TOL,
+    NewtonDivergenceError,
     NewtonRecord,
     _moments,
     log_normalizer,
@@ -41,8 +42,8 @@ def _problems(model, samples, k, kind):
 
 def _solve(model, k, kind, target, penalty):
     if kind == "blup":
-        return natural_from_moment(model, target, record=True)
-    return newton_minimize(model, k, target, diag_penalty=penalty, record=True)
+        return natural_from_moment(model, target)
+    return newton_minimize(model, k, target, diag_penalty=penalty)
 
 
 def _row(rec, i):
@@ -68,10 +69,6 @@ def test_record_holds_b_and_moments_at_each_solution(trained_model, samples, kin
         for counts in (rec.iterations, rec.halvings):
             assert np.issubdtype(counts.dtype, np.integer) and np.all(counts >= 0)
         assert np.all(rec.iterations[converged] >= 1)
-        # the default return is the record's theta and errors
-        theta, errors = newton_minimize(model, k, target, diag_penalty=penalty)
-        assert theta.tobytes() == rec.theta.tobytes()
-        assert [repr(e) for e in errors] == [repr(e) for e in rec.errors]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -94,28 +91,43 @@ def test_failed_row_has_no_b_or_moments_and_keeps_its_error(trained_model, sampl
     healthy, _ = _problems(model, samples[:4], k, "mle")
     boundary = suffstat_average(model, [2.9, 2.95], k)
     targets = np.array([*healthy[:2], boundary, *healthy[2:]])
-    rec = newton_minimize(model, k, targets, record=True)
+    rec = newton_minimize(model, k, targets)
     assert "iterates diverging" in str(rec.errors[2])
     assert np.all(np.isnan(rec.theta[2])) and np.isnan(rec.b[2]) and np.all(np.isnan(rec.xi[2]))
     assert rec.iterations[2] >= 1 and rec.halvings[2] >= 0
-    _, errors = newton_minimize(model, k, targets)
-    assert str(errors[2]) == str(rec.errors[2])
     for i in (0, 1, 3, 4):
         assert rec.errors[i] is None and np.isfinite(rec.b[i]) and np.all(np.isfinite(rec.xi[i]))
-        assert _row(rec, i) == _row(newton_minimize(model, k, targets[i], record=True), 0)
+        assert _row(rec, i) == _row(newton_minimize(model, k, targets[i]), 0)
 
 
 def test_single_target_record_is_one_row_and_does_not_raise(trained_model):
     model = trained_model
     target = suffstat_average(model, [2.9, 2.95], 3)
-    rec = newton_minimize(model, 3, target, record=True)
+    rec = newton_minimize(model, 3, target)
     assert rec.theta.shape == (1, 3) and rec.b.shape == (1,) and len(rec.errors) == 1
     assert rec.errors[0] is not None
 
 
 def test_record_arrays_are_read_only(trained_model, samples):
     target, _ = _problems(trained_model, samples[:3], 2, "mle")
-    rec = newton_minimize(trained_model, 2, target, record=True)
+    rec = newton_minimize(trained_model, 2, target)
     for a in (rec.theta, rec.b, rec.xi, rec.iterations, rec.halvings, rec.grad_norm):
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def test_single_target_inversion_is_row_0_of_the_batch_record(trained_model):
+    model = trained_model
+    rng = np.random.default_rng(11)
+    obs = rng.normal(0.0, 1.0, 40).clip(-2.5, 2.5)
+    for k in range(1, model.n_components + 1):
+        target = suffstat_average(model, obs, k)
+        rec = natural_from_moment(model, target[None])
+        assert isinstance(rec, NewtonRecord) and rec.errors == (None,)
+        assert natural_from_moment(model, target).tobytes() == rec.theta[0].tobytes()
+    boundary = suffstat_average(model, [2.9, 2.95], 3)
+    rec = natural_from_moment(model, boundary[None])
+    assert isinstance(rec.errors[0], NewtonDivergenceError)
+    with pytest.raises(NewtonDivergenceError) as raised:
+        natural_from_moment(model, boundary)
+    assert str(raised.value) == str(rec.errors[0])

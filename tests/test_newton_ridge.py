@@ -16,11 +16,10 @@ def test_singular_row_does_not_ridge_its_batch():
     # at theta = 0 all mass sits on t = 0 (exp(-800) underflows elsewhere),
     # so the statistic has zero variance and the Hessian is exactly zero
     m = make_family(d, [np.sqrt(12.0) * (d.grid - 0.5)], mu_vals=mu)
-    alone, errors = newton_minimize(m, 1, np.array([[0.5]]), theta0=np.array([[300.0]]))
-    assert errors == [None]
-    both, errors = newton_minimize(m, 1, np.array([[0.5], [0.5]]),
-                                   theta0=np.array([[300.0], [0.0]]))
-    assert errors == [None, None]
-    assert both[0].tobytes() == alone[0].tobytes()
-    second, _ = newton_minimize(m, 1, np.array([[0.5]]), theta0=np.array([[0.0]]))
-    assert both[1].tobytes() == second[0].tobytes()
+    alone = newton_minimize(m, 1, np.array([[0.5]]), theta0=np.array([[300.0]]))
+    assert alone.errors == (None,)
+    both = newton_minimize(m, 1, np.array([[0.5], [0.5]]), theta0=np.array([[300.0], [0.0]]))
+    assert both.errors == (None, None)
+    assert both.theta[0].tobytes() == alone.theta[0].tobytes()
+    second = newton_minimize(m, 1, np.array([[0.5]]), theta0=np.array([[0.0]]))
+    assert both.theta[1].tobytes() == second.theta[0].tobytes()

@@ -26,13 +26,13 @@ def test_newton_fails_one_row_and_solves_the_rest_as_alone(trained_model, k):
                for n in (8, 30, 12, 50)]
     diverging = suffstat_average(trained_model, [2.9, 2.95], k)
     targets = np.array([*healthy[:2], diverging, *healthy[2:]])
-    theta, errors = newton_minimize(trained_model, k, targets)
-    assert np.all(np.isnan(theta[2]))
-    assert "iterates diverging" in str(errors[2])
+    rec = newton_minimize(trained_model, k, targets)
+    assert np.all(np.isnan(rec.theta[2]))
+    assert "iterates diverging" in str(rec.errors[2])
     for i in (0, 1, 3, 4):
-        assert errors[i] is None
-        alone = newton_minimize(trained_model, k, targets[i])
-        assert theta[i].tobytes() == alone.tobytes()
+        assert rec.errors[i] is None
+        alone = newton_minimize(trained_model, k, targets[i]).theta[0]
+        assert rec.theta[i].tobytes() == alone.tobytes()
 
 
 @pytest.fixture(scope="module")
