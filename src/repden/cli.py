@@ -168,6 +168,9 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.log_scale == (args.domain is not None):
+        raise UsageError("give exactly one of --domain lo,hi and --log-scale "
+                         "(which builds the domain from the data)")
     samples = read_samples_csv(args.input)
     min_size = max(args.min_train_size, 2)
     usable = [s for s in samples if s.size >= min_size]
@@ -178,8 +181,6 @@ def cmd_train(args) -> int:
             f"(threshold {min_size})"
         )
 
-    if not (args.log_scale or args.domain):
-        raise UsageError("--domain lo,hi is required unless --log-scale is set")
     # the input cannot train a family: nonpositive log-scale responses, groups
     # outside the domain, no spread to choose a bandwidth from, ...
     try:
@@ -403,6 +404,10 @@ def _loo_family(loaded: _Loaded, samples: list[SubpopSample], method: str, k, k_
 
 
 def cmd_evaluate(args) -> int:
+    if not (args.loo or args.return_levels):
+        raise UsageError("nothing to evaluate: give --loo, --return-levels or both")
+    if not args.loo and args.methods == ["kde"]:
+        raise UsageError("kde has no return levels: add --loo or a family method to --methods")
     loaded = _load(args.model)
     samples = read_samples_csv(args.input)
     out_dir = Path(args.out)

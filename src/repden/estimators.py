@@ -186,29 +186,22 @@ def _fit(model: FamilyModel, obs, k: int, theta0, method: str, solve):
     moment range, and package every row from its record."""
     s, single = prepare(model, obs, k)
     phibar = s.phibar[:, :k]
-    errors = list(s.errors)
+    results = list(s.errors)
     for i in np.flatnonzero(_outside_range(model, phibar)):
-        errors[i] = MomentRangeError()
-    rows = np.flatnonzero([e is None for e in errors])
-    theta, xi = np.full(phibar.shape, np.nan), np.full(phibar.shape, np.nan)
-    b = np.full(len(s), np.nan)
+        results[i] = MomentRangeError()
+    rows = np.flatnonzero([e is None for e in results])
     if rows.size:
         start = None if theta0 is None else np.reshape(theta0, phibar.shape)[rows]
-        rec = solve(s.n[rows], phibar[rows], start)
-        theta[rows], xi[rows], b[rows] = rec.theta, rec.xi, rec.b
-        for i, e in zip(rows, rec.errors):
-            errors[i] = e
-    results: list = errors
-    ok = np.flatnonzero([e is None for e in errors])
-    if ok.size:
-        n = s.n[ok]
+        n = s.n[rows]
+        rec = solve(n, phibar[rows], start)
         # the sum over observations of mu + phi @ theta - B, from the means
-        loglik = n * (s.mu_bar[ok] + np.einsum("ij,ij->i", phibar[ok], theta[ok]) - b[ok])
-        for j, i in enumerate(ok):
+        loglik = n * (s.mu_bar[rows] + np.einsum("ij,ij->i", phibar[rows], rec.theta) - rec.b)
+        for j, i in enumerate(rows):
             ll = float(loglik[j])
-            results[i] = FitResult(method=method, k=k, theta=theta[i], xi=xi[i],
-                                   log_normalizer=float(b[i]), loglik=ll,
-                                   aic_trace=((k, 2.0 * k - 2.0 * ll),), n_obs=int(n[j]))
+            results[i] = rec.errors[j] if rec.errors[j] is not None else FitResult(
+                method=method, k=k, theta=rec.theta[j], xi=rec.xi[j],
+                log_normalizer=float(rec.b[j]), loglik=ll,
+                aic_trace=((k, 2.0 * k - 2.0 * ll),), n_obs=int(n[j]))
     return _unwrap(results, single)
 
 

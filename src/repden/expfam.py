@@ -364,6 +364,8 @@ def newton_minimize(
     where a failed row of ``theta`` is NaN and ``errors[i]`` is its error or
     None; no row's error is raised.  The ridge for an exactly singular
     Hessian is decided per row, so no row depends on the rest of its batch.
+    A row fails at the iteration cap only if the convergence test after its
+    ``NEWTON_MAX_ITER``-th step fails too.
 
     Each objective evaluation holds one ``(m, n_grid)`` buffer, the weighted
     densities; it is dropped once the second moments of the rows whose step
@@ -380,7 +382,7 @@ def newton_minimize(
     th = np.zeros_like(target)
     if theta0 is not None:
         th[:] = np.reshape(theta0, target.shape)
-    b_out, xi_out = np.full(m, np.nan), np.full((m, k), np.nan)
+    step, slope, slack = np.zeros_like(target), np.zeros(m), np.zeros(m)
     iterations, halvings = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
     grad_norm = np.full(m, np.nan)
 
@@ -392,83 +394,75 @@ def newton_minimize(
         f = b + (cand * (0.5 * d[sel] * cand - tgt)).sum(axis=1)
         return f, xi - tgt + d[sel] * cand, wp, b, xi
 
-    # ``th`` has one row per problem; ``rows`` holds the problems still
-    # iterating, and ``f``, ``grad``, ``b``, ``xi`` and the second moments
-    # ``second`` one row for each of them.  After the start point, second
-    # moments are taken only for accepted rows that fail the convergence
-    # test; a converged row needs no Hessian, so its stale row is never read.
+    # Every per-problem array (``th``, ``f``, ``grad``, ``b``, ``xi``, the
+    # second moments ``second``, ``step``, ``slope``, ``slack``) has one row
+    # per problem; ``rows`` holds the problems still iterating, and the line
+    # search's ``search`` those still halving.  After the start point,
+    # second moments are taken only for accepted rows that fail the
+    # convergence test; a converged row needs no Hessian, so its stale row is
+    # never read.  The test runs once more after the last step the cap allows.
     f, grad, wp, b, xi = evaluate(slice(None), th)
     second = rowwise(wp, phi_outer)
     del wp
     rows = np.arange(m)
-    for _ in range(NEWTON_MAX_ITER):
-        grad_norm[rows] = np.abs(grad).max(axis=1)
-        going = grad_norm[rows] >= NEWTON_GRAD_TOL
-        if not going.all():
-            done = rows[~going]
-            b_out[done], xi_out[done] = b[~going], xi[~going]
-            rows, f, grad, b, xi, second = (a[going] for a in (rows, f, grad, b, xi, second))
-        if not rows.size:
+    for it in range(NEWTON_MAX_ITER + 1):
+        grad_norm[rows] = np.abs(grad[rows]).max(axis=1)
+        rows = rows[grad_norm[rows] >= NEWTON_GRAD_TOL]
+        if not rows.size or it == NEWTON_MAX_ITER:
             break
         # Changes below the objective's rounding error pass the Armijo test,
         # so the final polishing steps are not rejected.  The error scales
         # with B and theta @ target, which near a far-out optimum are much
         # larger than their difference.
-        slack = _SLACK * (1.0 + np.abs(f) + np.abs(th[rows] * target[rows]).sum(axis=1))
-        hess = _covariances(second, xi)
+        slack[rows] = _SLACK * (1.0 + np.abs(f[rows]) + np.abs(th[rows] * target[rows]).sum(axis=1))
+        hess = _covariances(second[rows], xi[rows])
         hess[:, diag, diag] += d[rows]
         try:
-            step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+            step[rows] = np.linalg.solve(hess, -grad[rows][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # exactly singular Hessians (a zero pivot in the LU factorization
             # ``solve`` uses): regularize those rows' diagonals and retry
             singular = np.linalg.slogdet(hess)[0] == 0
             ridge = NEWTON_RIDGE * np.maximum(np.trace(hess[singular], axis1=1, axis2=2), 1.0)
             hess[singular] += ridge[:, None, None] * np.eye(k)
-            step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
-        slope = np.einsum("ij,ij->i", grad, step)
-        uphill = slope >= 0
-        if uphill.any():
+            step[rows] = np.linalg.solve(hess, -grad[rows][:, :, None])[:, :, 0]
+        slope[rows] = np.einsum("ij,ij->i", grad[rows], step[rows])
+        uphill = rows[slope[rows] >= 0]
+        if uphill.size:
             step[uphill] = -grad[uphill]
             slope[uphill] = np.einsum("ij,ij->i", grad[uphill], step[uphill])
         # backtracking from the full step: the rows that reject a step length
-        # halve it together (``search`` indexes ``rows``)
-        search, t = np.arange(rows.size), 1.0
+        # halve it together
+        search, t = rows, 1.0
         while search.size and t > 1e-14:
-            sel = rows[search]
-            cand = th[sel] + t * step[search]
-            f_cand, grad_cand, wp, b_cand, xi_cand = evaluate(sel, cand)
+            cand = th[search] + t * step[search]
+            f_cand, grad_cand, wp, b_cand, xi_cand = evaluate(search, cand)
             ok = f_cand <= f[search] + ARMIJO_C * t * slope[search] + slack[search]
             # accepted rows that fail the convergence test at the top of the loop
             keep = ok & (np.abs(grad_cand).max(axis=1) >= NEWTON_GRAD_TOL)
-            th[sel[ok]] = cand[ok]
             accepted = search[ok]
-            for a, new in zip((f, grad, b, xi), (f_cand, grad_cand, b_cand, xi_cand)):
+            for a, new in zip((th, f, grad, b, xi), (cand, f_cand, grad_cand, b_cand, xi_cand)):
                 a[accepted] = new[ok]
             if keep.any():
                 second[search[keep]] = _rowwise_kept(wp, keep, phi_outer)
             del wp
-            rejected = ~ok
-            halvings[sel[rejected]] += 1
-            search, t = search[rejected], 0.5 * t
+            search, t = search[~ok], 0.5 * t
+            halvings[search] += 1
         iterations[rows] += 1
-        drop = np.abs(th[rows]).max(axis=1) > THETA_DIVERGENCE_BOUND
-        for i in rows[drop]:
+        for i in rows[np.abs(th[rows]).max(axis=1) > THETA_DIVERGENCE_BOUND]:
             errors[i] = NewtonDivergenceError(
                 "iterates diverging; target sits on the attainable boundary")
-        for i in rows[search]:
+        for i in search:
             errors[i] = NewtonDivergenceError("line search stalled; target may be unattainable")
-        drop[search] = True
-        if drop.any():
-            rows, f, grad, b, xi, second = (a[~drop] for a in (rows, f, grad, b, xi, second))
-    else:
-        for i in rows:
-            errors[i] = NewtonDivergenceError(
-                f"no convergence after {NEWTON_MAX_ITER} iterations; "
-                "target may sit too close to the attainable boundary"
-            )
-    th[[e is not None for e in errors]] = np.nan
-    return NewtonRecord(theta=th, errors=tuple(errors), b=b_out, xi=xi_out,
+        rows = rows[[errors[i] is None for i in rows]]
+    for i in rows:
+        errors[i] = NewtonDivergenceError(
+            f"no convergence after {NEWTON_MAX_ITER} iterations; "
+            "target may sit too close to the attainable boundary"
+        )
+    failed = [e is not None for e in errors]
+    th[failed], b[failed], xi[failed] = np.nan, np.nan, np.nan
+    return NewtonRecord(theta=th, errors=tuple(errors), b=b, xi=xi,
                         iterations=iterations, halvings=halvings, grad_norm=grad_norm)
 
 

@@ -68,6 +68,9 @@ def test_strata_must_increase_strictly(model_and_csv, tmp_path, capsys, strata):
         ["train", "{new}", "--out", "{out}/m.json", "--domain=3,-3"],
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--train-size", "5:3"],
         ["evaluate", "{model}", "{new}", "--out", "{out}", "--loo", "--methods", ","],
+        ["evaluate", "{model}", "{new}", "--out", "{out}/ev"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}/ev", "--methods", "kde",
+         "--return-levels", "10"],
     ],
 )
 def test_malformed_flag_values_exit_1(model_and_csv, tmp_path, capsys, argv):
@@ -76,6 +79,26 @@ def test_malformed_flag_values_exit_1(model_and_csv, tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--methods", "kde", "--return-levels", "10"],
+        ["--methods", "KDE", "--return-levels", "5,10", "--k", "1"],
+    ],
+)
+def test_evaluate_with_nothing_to_evaluate_writes_nothing(model_and_csv, tmp_path, capsys,
+                                                          flags):
+    # no --loo: without --return-levels, or with KDE alone, which has no
+    # return levels, nothing would be evaluated
+    model, new = model_and_csv
+    out = tmp_path / "ev"
+    assert main(["evaluate", str(model), str(new), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -219,3 +242,19 @@ def test_methods_are_stripped_and_lowercased(model_and_csv, tmp_path, capsys):
     assert [r["method"] for r in rows] == ["kde", "mle"] * 5
     summary = json.loads((out / "loo_summary.json").read_text())
     assert sum(b["methods"]["mle"]["n"] for b in summary["strata"]) == 5
+
+
+@pytest.mark.parametrize("flags", [["--log-scale", "--domain=0,100"], []])
+def test_train_takes_exactly_one_of_domain_and_log_scale(log_model_and_csv, tmp_path, capsys,
+                                                         flags):
+    # positive responses, which train with --log-scale alone (the fixture)
+    # and with --domain alone
+    model, _ = log_model_and_csv
+    argv = ["train", str(model.parent / "train.csv"), "--grid", "64", "--k-max", "2"]
+    assert main([*argv, "--out", str(tmp_path / "linear.json"), "--domain=0,100"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.json"
+    assert main([*argv, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and "Traceback" not in err
+    assert not out.exists()

@@ -1,7 +1,8 @@
 """The solver's two failure exits that no fit reaches on ordinary data: the
 iteration cap and a line search that rejects every step length.  Each fails
 only its own row; a row that starts at its solution converges with no
-iteration and keeps the bits of its solve alone."""
+iteration and keeps the bits of its solve alone, and so does a row whose
+last step under the cap converges."""
 
 import numpy as np
 import pytest
@@ -50,3 +51,23 @@ def test_stalled_line_search_fails_only_its_row(trained_model, problems, monkeyp
     assert isinstance(rec.errors[1], expfam.NewtonDivergenceError)
     assert str(rec.errors[1]).startswith("line search stalled")
     assert rec.iterations[1] == 1 and rec.halvings[1] == 47
+
+
+def test_iteration_cap_tests_the_last_step(trained_model, monkeypatch):
+    rng = np.random.default_rng(3)
+    targets = np.array([suffstat_average(trained_model, rng.normal(0.0, 1.0, n).clip(-2.5, 2.5),
+                                         K) for n in (5, 10, 20, 40, 80, 160)])
+    free = newton_minimize(trained_model, K, targets)
+    assert free.errors == (None,) * len(targets)
+    steps = free.iterations.tolist()
+    # a row that converges on its n-th step and one that needs step n + 1
+    a = next(i for i, n in enumerate(steps) if n + 1 in steps)
+    b = steps.index(steps[a] + 1)
+    monkeypatch.setattr(expfam, "NEWTON_MAX_ITER", steps[a])
+    rec = newton_minimize(trained_model, K, targets[[a, b]])
+    assert rec.errors[0] is None
+    for field in ("theta", "b", "xi", "grad_norm", "iterations", "halvings"):
+        assert getattr(rec, field)[0].tobytes() == getattr(free, field)[a].tobytes()
+    assert isinstance(rec.errors[1], expfam.NewtonDivergenceError)
+    assert str(rec.errors[1]).startswith(f"no convergence after {steps[a]} iterations")
+    assert rec.iterations[1] == steps[a]
