@@ -111,7 +111,8 @@ def number_list(text: str) -> list[float]:
 
 def return_periods(text: str) -> list[float]:
     periods = number_list(text)
-    if not all(1 < t < math.inf for t in periods):
+    # from T = 2^54 years on, 1 - 1/T rounds to 1 and names no quantile level
+    if not all(1 < t and 1 - 1 / t < 1 for t in periods):
         raise ValueError(text)
     return periods
 
@@ -249,13 +250,12 @@ def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
 
 def cmd_fit(args) -> int:
     loaded = _load(args.model)
+    k, k_max = _truncation(args, loaded.model)
     samples = read_samples_csv(args.input)
     for s in samples:
         if any(c and c in s.id for c in (os.sep, os.altsep, "\0")):
             raise SampleFormatError(f"subpopulation id {s.id!r} cannot name a density file")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    k, k_max = _truncation(args, loaded.model)
 
     results = []
     fits = loaded.fit([s.obs for s in samples], args.method, k=k, k_max=k_max)
@@ -293,9 +293,7 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is not None
     }
     spec = default_spec(args.scenario, args.seed, **overrides)
-
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # write each replication's files once it is scored, and keep only its MKL
     scores = []
@@ -306,7 +304,6 @@ def cmd_simulate(args) -> int:
         except FIT_ERRORS as exc:
             raise TotalNumericalFailure(f"replication {rep}: {exc}") from exc
         rep_dir = out_dir / "reps" / f"rep_{rep:04d}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
         write_samples_csv(rep_dir / "train.csv", out.train)
         write_samples_csv(rep_dir / "test.csv", [s for s, _ in out.test])
         write_csv(rep_dir / "truths.csv", ("subpop_id", "t", "density"),
@@ -409,10 +406,9 @@ def cmd_evaluate(args) -> int:
     if not args.loo and args.methods == ["kde"]:
         raise UsageError("kde has no return levels: add --loo or a family method to --methods")
     loaded = _load(args.model)
+    k, k_max = _truncation(args, loaded.model)
     samples = read_samples_csv(args.input)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    k, k_max = _truncation(args, loaded.model)
     levels = args.return_levels
 
     entries = {}

@@ -5,7 +5,8 @@ round-trip repr, so parsing reproduces every numeric field bit-exactly.
 Samples travel as a two-column CSV with the exact header
 ``subpop_id,value``.  Every file the package writes goes through
 :func:`write_csv` or :func:`write_json`: UTF-8, LF line endings, floats as
-the ``repr`` of Python floats.
+the ``repr`` of Python floats.  Each writer makes its file's directory, so
+a command that stops before its first write leaves no output path.
 """
 
 from __future__ import annotations
@@ -225,6 +226,7 @@ def write_csv(path, header: Iterable[str], blocks: Iterable[tuple]) -> None:
     # A block formats each column once and joins its rows in C; a per-row
     # generator, and a repr of the grid in every group, made truths.csv cost
     # simulate a third of its time.
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
@@ -239,6 +241,7 @@ def write_csv(path, header: Iterable[str], blocks: Iterable[tuple]) -> None:
 
 def write_json(path, payload) -> None:
     """``payload`` as JSON indented by one space, with a trailing newline."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

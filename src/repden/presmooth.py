@@ -101,7 +101,11 @@ def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn
     """Boundary-corrected Gaussian KDE of ``sample`` on the domain grid.
 
     Returns a strictly positive density normalized to integrate to one
-    under the trapezoidal rule.
+    under the trapezoidal rule.  The bandwidth must be at least
+    ``domain.dt / 64``: every observation lies within ``dt / 2`` of a grid
+    point, whose kernel term is then at least ``exp(-512) > 0``, and no
+    squared distance over ``h`` overflows.  Below it, a kernel sum can
+    vanish or overflow.
     """
     if not domain.contains(sample.obs):
         raise ValueError(
@@ -110,6 +114,8 @@ def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn
         )
     t = domain.grid
     h = cfg.bandwidth
+    if h < domain.dt / 64:
+        raise ValueError(f"bandwidth {h:g} is below the grid spacing {domain.dt:g} / 64")
     x = sample.obs
     rows = max(1, BUDGET // x.size)
     buf = np.empty((min(rows, t.size), x.size))

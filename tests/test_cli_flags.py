@@ -157,6 +157,9 @@ def test_programming_errors_propagate(model_and_csv, tmp_path, monkeypatch, argv
         ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
          "--return-levels", "0.5"],
         ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--min-train-size", "1000"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
+         "--return-levels", "1e17"],
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e-300"],
     ],
 )
 def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsys, argv):
@@ -166,6 +169,37 @@ def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "{model}", "{new}", "--out", "{out}", "--k", "99"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--loo", "--k", "99"],
+        ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
+         "--return-levels", "1e17"],
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e-300"],
+    ],
+)
+def test_usage_error_leaves_no_out_path(model_and_csv, tmp_path, capsys, argv):
+    # the writers make the output directories with their first file
+    model, new = model_and_csv
+    out = tmp_path / "o"
+    argv = [a.format(model=model, new=new, train=model.parent / "train.csv", out=out)
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_makes_the_model_directory(model_and_csv, tmp_path, capsys):
+    model, _ = model_and_csv
+    out = tmp_path / "new" / "sub" / "m.json"
+    assert main(["train", str(model.parent / "train.csv"), "--out", str(out),
+                 "--domain=-3,3", "--grid", "128", "--k-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == str(out)
+    assert json.loads(out.read_text())["format_version"] == 1
 
 
 def test_simulate_size_ranges_and_bandwidth_are_used(tmp_path, capsys):

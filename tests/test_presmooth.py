@@ -76,6 +76,14 @@ def test_kde_rejects_out_of_domain():
         weighted_kde(SubpopSample("a", np.array([2.0])), KdeConfig(0.1), dom)
 
 
+def test_kde_bandwidth_floor_is_grid_spacing_over_64():
+    dom = Domain(-3.0, 3.0, 512)
+    sample = SubpopSample("a", np.array([-1.0, 0.3, 2.0]))
+    assert np.all(weighted_kde(sample, KdeConfig(dom.dt / 64), dom).values > 0)
+    with pytest.raises(ValueError, match="bandwidth"):
+        weighted_kde(sample, KdeConfig(np.nextafter(dom.dt / 64, 0)), dom)
+
+
 def test_kde_shift_equivariance_in_interior():
     dom = Domain(-10.0, 10.0, 501)
     rng = np.random.default_rng(9)
