@@ -14,6 +14,7 @@ thread, so training's BLAS-threaded FPCA does not depend on
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -49,8 +50,14 @@ from .modelio import (
     write_json,
     write_samples_csv,
 )
-from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
-from .simgen import SCENARIO_KINDS, default_spec
+from .presmooth import (
+    KdeConfig,
+    SubpopSample,
+    check_bandwidth,
+    silverman_bandwidth,
+    weighted_kde,
+)
+from .simgen import SCENARIO_KINDS, default_spec, scenario_domain
 from .simulate import run_replication
 
 
@@ -293,6 +300,11 @@ def cmd_simulate(args) -> int:
         if getattr(args, key) is not None
     }
     spec = default_spec(args.scenario, args.seed, **overrides)
+    if args.bandwidth is not None:
+        try:
+            check_bandwidth(args.bandwidth, scenario_domain(args.scenario, args.grid))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     out_dir = Path(args.out)
 
     # write each replication's files once it is scored, and keep only its MKL
@@ -555,7 +567,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, SampleFormatError, ModelFormatError, json.JSONDecodeError) as exc:
+    except (OSError, SampleFormatError, ModelFormatError, json.JSONDecodeError, csv.Error,
+            UnicodeDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except TotalNumericalFailure as exc:

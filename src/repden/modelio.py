@@ -12,13 +12,14 @@ a command that stops before its first write leaves no output path.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from functools import lru_cache
-from itertools import compress, islice, pairwise, repeat
+from itertools import chain, compress, islice, pairwise, repeat
 from math import isfinite
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,8 +34,14 @@ FORMAT_VERSION = 1
 
 SAMPLE_HEADER = ["subpop_id", "value"]
 
-# Rows of a sample CSV parsed at a time.
+# Characters of a sample CSV read at a time after its header, and rows
+# parsed at a time once csv.reader reads it.
+BLOCK_CHARS = 1 << 16
 CHUNK_ROWS = 1024
+
+# Every byte but the field and line separators, deleted to check that each
+# line of a block holds one comma.
+_NOT_SEPARATORS = bytes(c for c in range(256) if c not in b",\n")
 
 
 class SampleFormatError(ValueError):
@@ -123,42 +130,91 @@ def load_model(path) -> FamilyModel:
 def read_samples_csv(path) -> list[SubpopSample]:
     """Parse a sample CSV, grouping rows by subpopulation in first-seen order.
 
-    Rows are taken ``CHUNK_ROWS`` at a time: each chunk's values are parsed
-    into one float64 array and each run of equal ids is kept as a slice of
-    it, so a group's values cost 8 bytes each in place of a Python float
-    and a list pointer.  A chunk that fails a check is checked again row by
-    row, which reports the first bad row of the file as its line number.
+    After the header the text is read ``BLOCK_CHARS`` characters at a time
+    and cut at its last newline; the partial line is carried into the next
+    block.  A block of lines that each hold one comma is split with one
+    ``str.split`` and its values parsed into one float64 array; a block
+    with blank or malformed lines goes through ``csv.reader`` line by line.
+    From the first block that holds a quote, a carriage return, a NUL or
+    more characters than ``csv.field_size_limit()``, ``csv.reader`` reads
+    the rest of the file ``CHUNK_ROWS`` rows at a time, since only it parses
+    quoted fields and CR line endings.  Both paths parse values with
+    ``float``, so they read the same ids and value bits.  Each run of equal
+    ids is appended to its group's ``bytearray`` of float64 values, so a
+    group's values cost 8 bytes each in place of a Python float and a list
+    pointer, and no block's array outlives its block.  A block or
+    chunk that fails a check is checked again row by row, which reports the
+    first bad row of the file as its line number, ahead of a later
+    ``csv.Error``; a byte that is not UTF-8 raises ``UnicodeDecodeError``
+    when the block holding it is decoded.
     """
-    runs: dict[str, list[np.ndarray]] = {}
+    runs: dict[str, bytearray] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != SAMPLE_HEADER:
             raise SampleFormatError(
                 f"expected header {','.join(SAMPLE_HEADER)!r}, got {header}"
             )
-        lineno = 2  # the line number of the chunk's first row
-        while True:
-            rows: list[list[str]] = []
-            try:
-                rows.extend(islice(reader, CHUNK_ROWS))
-            except (csv.Error, ValueError):
-                # a reader or decoding error comes after the rows before it
-                _check_rows(rows, lineno)
-                raise
-            if not rows:
-                break
-            sids, values = _parse_chunk(rows, lineno)
-            lineno += len(rows)
+        for sids, values in _row_blocks(fh):
             if not sids:  # only blank rows
                 continue
             cuts = [0, *compress(range(1, len(sids)), map(ne, sids[1:], sids[:-1])), len(sids)]
             for a, b in pairwise(cuts):
-                runs.setdefault(sids[a], []).append(values[a:b])
+                runs.setdefault(sids[a], bytearray()).extend(values[a:b].data)
     if not runs:
         raise SampleFormatError(f"no sample rows in {Path(path)}")
-    # popping each group's slices lets the chunks go as their groups are done
-    return [SubpopSample(id=sid, obs=np.concatenate(runs.pop(sid))) for sid in list(runs)]
+    # popping each group's bytes lets them go once its sorted copy is made
+    return [SubpopSample(id=sid, obs=np.frombuffer(runs.pop(sid))) for sid in list(runs)]
+
+
+def _row_blocks(fh) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The ids and values of the non-blank rows after the header, a block
+    of text or a chunk of ``csv.reader`` rows at a time."""
+    lineno = 2  # the line number of the next row
+    tail = ""
+    while data := fh.read(BLOCK_CHARS):
+        text = tail + data
+        if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
+            # complete the current line, so that csv.reader sees the file's lines
+            text += fh.readline()
+            break
+        cut = text.rfind("\n") + 1
+        if cut:
+            n = text.count("\n", 0, cut)
+            yield _split_block(text[:cut], n, lineno)
+            lineno += n
+        tail = text[cut:]
+    else:
+        if tail:  # the last line has no newline
+            yield _split_block(tail + "\n", 1, lineno)
+        return
+    reader = csv.reader(chain(io.StringIO(text, newline=""), fh))
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, CHUNK_ROWS))
+        except (csv.Error, ValueError):
+            # a reader or decoding error comes after the rows before it
+            _check_rows(rows, lineno)
+            raise
+        if not rows:
+            return
+        yield _parse_chunk(rows, lineno)
+        lineno += len(rows)
+
+
+def _split_block(block: str, n: int, lineno: int) -> tuple[list[str], np.ndarray]:
+    """The ids and values of a block of ``n`` whole lines free of quotes, CRs
+    and NULs; the block's first line is line ``lineno``."""
+    if block.encode().translate(None, _NOT_SEPARATORS) == b",\n" * n:
+        parts = block.replace("\n", ",").split(",")
+        try:
+            values = np.fromiter(map(float, parts[1::2]), float, count=n)
+            if np.isfinite(values).all():
+                return parts[:-1:2], values
+        except ValueError:
+            pass
+    return _parse_chunk(list(csv.reader(block.split("\n")[:-1])), lineno)
 
 
 def _parse_chunk(rows: list[list[str]], lineno: int) -> tuple[list[str], np.ndarray]:

@@ -97,6 +97,13 @@ def _grid_boundary_weight(h: float, domain: Domain) -> np.ndarray:
     return weight
 
 
+def check_bandwidth(h: float, domain: Domain) -> None:
+    """Raise ``ValueError`` for a bandwidth below ``domain.dt / 64``, the
+    smallest that :func:`weighted_kde` accepts on the domain's grid."""
+    if h < domain.dt / 64:
+        raise ValueError(f"bandwidth {h:g} is below the grid spacing {domain.dt:g} / 64")
+
+
 def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn:
     """Boundary-corrected Gaussian KDE of ``sample`` on the domain grid.
 
@@ -114,8 +121,7 @@ def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn
         )
     t = domain.grid
     h = cfg.bandwidth
-    if h < domain.dt / 64:
-        raise ValueError(f"bandwidth {h:g} is below the grid spacing {domain.dt:g} / 64")
+    check_bandwidth(h, domain)
     x = sample.obs
     rows = max(1, BUDGET // x.size)
     buf = np.empty((min(rows, t.size), x.size))

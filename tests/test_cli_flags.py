@@ -160,6 +160,8 @@ def test_programming_errors_propagate(model_and_csv, tmp_path, monkeypatch, argv
         ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
          "--return-levels", "1e17"],
         ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e-300"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--grid", "64", "--bandwidth", "1e-300"],
     ],
 )
 def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsys, argv):
@@ -179,6 +181,8 @@ def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsy
         ["evaluate", "{model}", "{new}", "--out", "{out}", "--methods", "mle", "--k", "1",
          "--return-levels", "1e17"],
         ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e-300"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--grid", "64", "--bandwidth", "1e-300"],
     ],
 )
 def test_usage_error_leaves_no_out_path(model_and_csv, tmp_path, capsys, argv):
