@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitResult, fit, loo_subsets
+from .estimators import BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitResult, fit, loo_subsets, prepare
 from .expfam import FamilyModel, density, density_values, train_family
 from .grid import Domain, GridFn
 from .logscale import (
@@ -391,25 +391,14 @@ def _held_out(loaded: _Loaded, refits: list[FitResult], obs: np.ndarray) -> np.n
     return held
 
 
-def _loo_family(loaded: _Loaded, samples: list[SubpopSample], method: str, k, k_max) -> list:
-    """The leave-one-out entry of every sample under one family method: its
-    cross-entropy, or the error of its first refit that failed.
-
-    The refits of all samples are solved as one batch, reduced from one
-    interpolation pass per sample (``loo_subsets``).
-    """
-    batch = loo_subsets(loaded.model, [s.obs for s in samples], k or k_max, loaded.obs)
-    fits = iter(fit(loaded.model, batch, method, k=k, k_max=k_max))
-    refits = [[next(fits) for _ in range(s.size)] for s in samples]
-    entries = []
-    for s, rs in zip(samples, refits):
-        failed = next((j for j, r in enumerate(rs) if isinstance(r, FIT_ERRORS)), None)
-        if failed is None:
-            entries.append({"loo_ce": loo_score(_held_out(loaded, rs, s.obs), s.size)})
-        else:
-            entries.append({"loo_ce": None,
-                            "error": str(LooRefitError(failed, str(rs[failed])))})
-    return entries
+def _loo_family(loaded: _Loaded, sample: SubpopSample, refits: list) -> dict:
+    """The leave-one-out entry of one sample under one family method, from the
+    fits of its ``loo_subsets`` in order: its cross-entropy, or the error of
+    its first refit that failed."""
+    failed = next((j for j, r in enumerate(refits) if isinstance(r, FIT_ERRORS)), None)
+    if failed is None:
+        return {"loo_ce": loo_score(_held_out(loaded, refits, sample.obs), sample.size)}
+    return {"loo_ce": None, "error": str(LooRefitError(failed, str(refits[failed])))}
 
 
 def cmd_evaluate(args) -> int:
@@ -423,28 +412,31 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     levels = args.return_levels
 
-    entries = {}
-    for method in args.methods:
-        fits, loo = [], []
-        if levels and method != "kde":
-            fits = loaded.fit([s.obs for s in samples], method, k=k, k_max=k_max)
+    # every family method fits the same two batches: the samples reduced once
+    # for the whole-sample fits, and once for their leave-one-out subsets
+    reduction = (loaded.model, [s.obs for s in samples], k or k_max, loaded.obs)
+    family = any(m != "kde" for m in args.methods)
+    whole = prepare(*reduction)[0] if levels and family else None
+    subsets = loo_subsets(*reduction) if args.loo and family else None
+    rows = [{"id": s.id, "size": s.size, "method": method,
+             "stratum": next(lab for lo, hi, lab in args.strata if lo < s.size <= hi)}
+            for s in samples for method in args.methods]
+    for j, method in enumerate(args.methods):
+        own = rows[j::len(args.methods)]
         if args.loo and method == "kde":
-            loo = [_loo_kde(loaded, s) for s in samples]
+            for row, s in zip(own, samples):
+                row |= _loo_kde(loaded, s)
         elif args.loo:
-            loo = _loo_family(loaded, samples, method, k, k_max)
-        for i, sample in enumerate(samples):
-            entry = {"id": sample.id, "size": sample.size, "method": method,
-                     "stratum": next(lab for lo, hi, lab in args.strata if lo < sample.size <= hi)}
-            if args.loo:
-                entry |= loo[i]
-            if fits and isinstance(fits[i], FIT_ERRORS):
-                entry["return_levels"] = None
-                entry.setdefault("error", str(fits[i]))
-            elif fits:
-                dens = loaded.density(fits[i])
-                entry["return_levels"] = {f"{t:g}": return_level(dens, t) for t in levels}
-            entries[i, method] = entry
-    rows = [entries[i, method] for i in range(len(samples)) for method in args.methods]
+            refits = iter(fit(loaded.model, subsets, method, k=k, k_max=k_max))
+            for row, s in zip(own, samples):
+                row |= _loo_family(loaded, s, [next(refits) for _ in range(s.size)])
+        if levels and method != "kde":
+            for row, r in zip(own, loaded.fit(whole, method, k=k, k_max=k_max)):
+                if isinstance(r, FIT_ERRORS):
+                    row.setdefault("error", str(r))
+                else:
+                    dens = loaded.density(r)
+                    row["return_levels"] = {f"{t:g}": return_level(dens, t) for t in levels}
 
     if args.loo:
         table = [(r["id"], r["size"], r["stratum"], r["method"],
@@ -454,7 +446,7 @@ def cmd_evaluate(args) -> int:
                   ("subpop_id", "size", "stratum", "method", "loo_ce", "finite"), table)
     if levels:
         table = [(r["id"], r["method"], t, level)
-                 for r in rows for t, level in (r.get("return_levels") or {}).items()]
+                 for r in rows for t, level in r.get("return_levels", {}).items()]
         write_csv(out_dir / "return_levels.csv", ("subpop_id", "method", "t_years", "level"),
                   table)
 
@@ -500,7 +492,7 @@ def build_parser() -> _Parser:
                    help="components to retain (default 10)")
     p.add_argument("--bandwidth", type=bandwidth, default="auto",
                    help="KDE bandwidth or 'auto' (median rule)")
-    p.add_argument("--min-train-size", type=int, default=2,
+    p.add_argument("--min-train-size", type=nonnegative_int, default=2,
                    help="exclude subpopulations smaller than this (default 2)")
     p.add_argument("--log-scale", action="store_true",
                    help="train on log responses (positive data only)")

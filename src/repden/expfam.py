@@ -28,8 +28,9 @@ ARMIJO_C = 1e-4
 # Armijo slack per unit of the objective's magnitude
 _SLACK = 10.0 * np.finfo(float).eps
 
-# Parameters this large mean the target sits on the attainable boundary and
-# the iterates are running off to infinity; stop early with a diagnostic.
+# A row stops with a divergence error once some |theta| exceeds this.  Most
+# rows it stops converge with the bound at 1e6, so the error's claim that the
+# target sits on the attainable boundary is often false.
 THETA_DIVERGENCE_BOUND = 500.0
 
 

@@ -99,7 +99,8 @@ def fit_original_scale(
     """Fit new original-scale samples; ``k=None`` selects the truncation by AIC.
 
     Takes one sample or a sequence, like :func:`repden.estimators.fit`; in a
-    sequence, a sample with a nonpositive response fails on its own.
+    sequence, a sample with a nonpositive response fails on its own.  A batch
+    already reduced on the log scale by ``prepare`` passes through as it is.
     """
     width = m.inner.n_components if k is None else k
     s, single = prepare(m.inner, obs_y, width, partial(clamp_log_obs, m))

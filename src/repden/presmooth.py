@@ -98,10 +98,13 @@ def _grid_boundary_weight(h: float, domain: Domain) -> np.ndarray:
 
 
 def check_bandwidth(h: float, domain: Domain) -> None:
-    """Raise ``ValueError`` for a bandwidth below ``domain.dt / 64``, the
-    smallest that :func:`weighted_kde` accepts on the domain's grid."""
+    """Raise ``ValueError`` for a bandwidth below ``domain.dt / 64`` or above
+    ``domain.length * 2**20``, the range :func:`weighted_kde` accepts on the
+    domain's grid."""
     if h < domain.dt / 64:
         raise ValueError(f"bandwidth {h:g} is below the grid spacing {domain.dt:g} / 64")
+    if h > domain.length * 2**20:
+        raise ValueError(f"bandwidth {h:g} is above the domain length {domain.length:g} * 2**20")
 
 
 def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn:
@@ -112,7 +115,9 @@ def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn
     ``domain.dt / 64``: every observation lies within ``dt / 2`` of a grid
     point, whose kernel term is then at least ``exp(-512) > 0``, and no
     squared distance over ``h`` overflows.  Below it, a kernel sum can
-    vanish or overflow.
+    vanish or overflow.  At the ceiling ``domain.length * 2**20`` the kernel
+    varies by under 5e-13 across the domain; above it, the boundary weight,
+    which grows like ``h``, can overflow its product with the kernel sum.
     """
     if not domain.contains(sample.obs):
         raise ValueError(

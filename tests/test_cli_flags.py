@@ -162,6 +162,10 @@ def test_programming_errors_propagate(model_and_csv, tmp_path, monkeypatch, argv
         ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e-300"],
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
          "--grid", "64", "--bandwidth", "1e-300"],
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e308"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--grid", "64", "--bandwidth", "1e308"],
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--min-train-size", "-5"],
     ],
 )
 def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsys, argv):
@@ -183,6 +187,9 @@ def test_out_of_range_values_rejected_before_work(model_and_csv, tmp_path, capsy
         ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e-300"],
         ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
          "--grid", "64", "--bandwidth", "1e-300"],
+        ["train", "{train}", "--out", "{out}/m.json", "--domain=-3,3", "--bandwidth", "1e308"],
+        ["simulate", "--scenario", "trunc_normal", "--out", "{out}", "--reps", "1",
+         "--grid", "64", "--bandwidth", "1e308"],
     ],
 )
 def test_usage_error_leaves_no_out_path(model_and_csv, tmp_path, capsys, argv):

@@ -84,6 +84,18 @@ def test_kde_bandwidth_floor_is_grid_spacing_over_64():
         weighted_kde(sample, KdeConfig(np.nextafter(dom.dt / 64, 0)), dom)
 
 
+def test_kde_bandwidth_ceiling_is_domain_length_times_2_pow_20():
+    # at the ceiling the kernel is flat to 5e-13 across the domain, and no
+    # product overflows; above it the bandwidth is rejected before any sum
+    dom = Domain(-3.0, 3.0, 128)
+    sample = SubpopSample("a", np.array([-2.0, 0.5, 1.0]))
+    h = dom.length * 2**20
+    p = weighted_kde(sample, KdeConfig(h), dom)
+    assert np.ptp(np.log(p.values)) < 5e-13
+    with pytest.raises(ValueError, match=r"above the domain length 6 \* 2\*\*20"):
+        weighted_kde(sample, KdeConfig(np.nextafter(h, np.inf)), dom)
+
+
 def test_kde_shift_equivariance_in_interior():
     dom = Domain(-10.0, 10.0, 501)
     rng = np.random.default_rng(9)
