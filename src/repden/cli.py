@@ -179,6 +179,13 @@ def cmd_train(args) -> int:
     if args.log_scale == (args.domain is not None):
         raise UsageError("give exactly one of --domain lo,hi and --log-scale "
                          "(which builds the domain from the data)")
+    # with --domain the grid is known before the read; --log-scale builds its
+    # domain from the data, so its bandwidth is checked in training
+    if args.bandwidth is not None and args.domain is not None:
+        try:
+            check_bandwidth(args.bandwidth, Domain(*args.domain, args.grid))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     samples = read_samples_csv(args.input)
     min_size = max(args.min_train_size, 2)
     usable = [s for s in samples if s.size >= min_size]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expfam import (
+    BATCH_SIZE,  # re-exported: callers take the solver's block size from here
     FamilyModel,
     MomentRangeError,
     NewtonDivergenceError,
@@ -31,13 +32,6 @@ from .expfam import (
 BLUP_RIDGE = 1e-10
 BLUP_COND_LIMIT = 1e12
 BLUP_BOX_MARGIN = 1e-6
-
-# Samples solved together by one call of ``fit``: a batch's Newton solve holds
-# one array of ``BATCH_SIZE x n_grid`` values at a time, the weighted
-# densities of one objective evaluation.  The chunk only bounds that memory:
-# 1 MB at the default grid, against 19.7 MB for 4800 leave-one-out subsets in
-# one batch, which solved in about the same time as in chunks.
-BATCH_SIZE = 256
 
 
 class ZeroPriorVarianceError(ValueError):
@@ -110,9 +104,6 @@ class _Samples:
 
     def __len__(self) -> int:
         return self.n.size
-
-    def __getitem__(self, rows: slice) -> _Samples:
-        return _Samples(self.n[rows], self.mu_bar[rows], self.phibar[rows], self.errors[rows])
 
 
 def prepare(model: FamilyModel, obs, k: int, scale=None) -> tuple[_Samples, bool]:
@@ -324,13 +315,9 @@ def fit(model: FamilyModel, obs, method: str, k: int | None = None,
     components when ``k_max`` is None).  One sample gives a
     :class:`FitResult` or raises; a sequence of samples (see
     :func:`as_samples`), or the subsets of :func:`loo_subsets`, is fitted
-    in batches of up to ``BATCH_SIZE`` and gives, per sample, a
-    :class:`FitResult` or the ``FIT_ERRORS`` instance it failed with.
+    as one batch and gives, per sample, a :class:`FitResult` or the
+    ``FIT_ERRORS`` instance it failed with.
     """
-    samples = obs if isinstance(obs, _Samples) else as_samples(obs)[0]
-    if len(samples) > BATCH_SIZE:
-        return [r for i in range(0, len(samples), BATCH_SIZE)
-                for r in fit(model, samples[i:i + BATCH_SIZE], method, k, k_max)]
     if k is None:
         return select_k_aic(model, obs, method,
                             model.n_components if k_max is None else k_max)
@@ -350,18 +337,22 @@ def select_k_aic(model: FamilyModel, obs, method: str, k_max: int):
     if not 1 <= k_max <= model.n_components:
         raise ValueError(f"k_max must be in [1, {model.n_components}], got {k_max}")
     s, single = prepare(model, obs, k_max)
-    fits: list[list[tuple[float, FitResult]]] = [[] for _ in range(len(s))]
+    best: list[tuple[float, FitResult] | None] = [None] * len(s)
+    traces: list[list[tuple[int, float]]] = [[] for _ in range(len(s))]
     warm = np.zeros((len(s), k_max))
     for k in range(1, k_max + 1):
         for i, r in enumerate(fitter(model, s, k, theta0=warm[:, :k])):
             if isinstance(r, FitResult):
                 warm[i, :k] = r.theta
-                fits[i].append((r.aic, r))
+                aic = r.aic
+                traces[i].append((k, aic))
+                if best[i] is None or aic < best[i][0]:
+                    best[i] = (aic, r)
     failed = f"all truncations 1..{k_max} failed for method {method!r}"
     results = [
         err if err is not None
-        else FitFailedError(failed) if not rs
-        else replace(min(rs, key=lambda p: p[0])[1], aic_trace=tuple((r.k, a) for a, r in rs))
-        for err, rs in zip(s.errors, fits)
+        else FitFailedError(failed) if b is None
+        else replace(b[1], aic_trace=tuple(trace))
+        for err, b, trace in zip(s.errors, best, traces)
     ]
     return _unwrap(results, single)

@@ -99,10 +99,12 @@ def fit_original_scale(
     """Fit new original-scale samples; ``k=None`` selects the truncation by AIC.
 
     Takes one sample or a sequence, like :func:`repden.estimators.fit`; in a
-    sequence, a sample with a nonpositive response fails on its own.  A batch
-    already reduced on the log scale by ``prepare`` passes through as it is.
+    sequence, a sample with a nonpositive response fails on its own.  Each
+    sample is reduced up to ``k``, else ``k_max``, else every component; a
+    batch already reduced on the log scale by ``prepare`` passes through as
+    it is.
     """
-    width = m.inner.n_components if k is None else k
+    width = k or k_max or m.inner.n_components
     s, single = prepare(m.inner, obs_y, width, partial(clamp_log_obs, m))
     return _unwrap(fit(m.inner, s, method, k=k, k_max=k_max), single)
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repden import estimators
+from repden import cli, estimators
 from repden.cli import main
 from repden.modelio import write_samples_csv
 from repden.presmooth import SubpopSample
@@ -302,4 +302,20 @@ def test_train_takes_exactly_one_of_domain_and_log_scale(log_model_and_csv, tmp_
     assert main([*argv, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bandwidth", ["1e-300", "1e308"])
+def test_train_checks_bandwidth_before_reading_samples(tmp_path, monkeypatch, capsys, bandwidth):
+    # with --domain the grid is known before the read, so a bandwidth that
+    # training would reject is a usage error and the CSV is never opened
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_samples_csv", unread)
+    out = tmp_path / "m.json"
+    assert main(["train", str(tmp_path / "missing.csv"), "--out", str(out), "--domain=-3,3",
+                 "--bandwidth", bandwidth]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bandwidth") and err.count("\n") == 1
     assert not out.exists()
