@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitResult, fit, loo_subsets, prepare
-from .expfam import FamilyModel, density, density_values, train_family
+from .estimators import (BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitBatch, FitResult, fit,
+                         loo_subsets, prepare)
+from .expfam import FamilyModel, density, train_family
 from .grid import Domain, GridFn
 from .logscale import (
     ScaledModel,
@@ -230,20 +231,28 @@ def cmd_train(args) -> int:
 
 
 # A loaded model and its maps between the data's scale and the model's: a
-# batch fit, a fit's density, the observations in, and densities out (a
-# domain and rows of values on it, to a domain and rows of values).
+# batch fit, a stack of thetas to their densities, the observations in, and
+# densities out (a domain and rows of values on it, to a domain and rows).
 _Loaded = namedtuple("_Loaded", "model fit density obs carry")
 
 
 def _load(path) -> _Loaded:
     model = load_model(path)
     if not model.meta.log_scale:
-        return _Loaded(model, partial(fit, model), lambda r: density(model, r.theta),
+        return _Loaded(model, partial(fit, model), partial(density, model),
                        lambda y: y, lambda dom, values: (dom, values))
     scaled = ScaledModel(model, model.meta.delta)
     return _Loaded(model, partial(fit_original_scale, scaled),
-                   lambda r: density_original_scale(scaled, r.theta),
+                   partial(density_original_scale, scaled),
                    partial(clamp_log_obs, scaled), pushforward_values)
+
+
+def _densities(loaded: _Loaded, fits: FitBatch):
+    """``(rows, domain, values)``: densities in the data's scale, by blocks of fitted rows."""
+    for k in np.unique(fits.k[fits.k > 0]):
+        rows = np.flatnonzero(fits.k == k)
+        for block in (rows[i:i + BATCH_SIZE] for i in range(0, rows.size, BATCH_SIZE)):
+            yield (block, *loaded.density(fits.theta[block, :k]))
 
 
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
@@ -271,14 +280,12 @@ def cmd_fit(args) -> int:
             raise SampleFormatError(f"subpopulation id {s.id!r} cannot name a density file")
     out_dir = Path(args.out)
 
-    results = []
     fits = loaded.fit([s.obs for s in samples], args.method, k=k, k_max=k_max)
-    for sample, result in zip(samples, fits):
-        if isinstance(result, FIT_ERRORS):
-            results.append({"id": sample.id, "status": "error", "error": str(result)})
-            continue
-        write_density_csv(out_dir / f"density_{sample.id}.csv", loaded.density(result))
-        results.append(_result_payload(sample, result))
+    for rows, dom, values in _densities(loaded, fits):
+        for i, v in zip(rows, values):
+            write_density_csv(out_dir / f"density_{samples[i].id}.csv", GridFn(dom, v))
+    results = [{"id": s.id, "status": "error", "error": str(r)} if isinstance(r, FIT_ERRORS)
+               else _result_payload(s, r) for s, r in zip(samples, fits)]
 
     n_failed = sum(1 for r in results if r["status"] == "error")
     payload = {
@@ -381,31 +388,19 @@ def _loo_kde(loaded: _Loaded, sample: SubpopSample) -> dict:
         return {"loo_ce": None, "error": str(exc)}
 
 
-def _held_out(loaded: _Loaded, refits: list[FitResult], obs: np.ndarray) -> np.ndarray:
-    """Each refit's density in the data's scale at its held-out value.
-
-    Refits of one truncation share their densities' computation, in blocks
-    of ``BATCH_SIZE``, by the arithmetic of ``density`` and the carry.
-    """
-    ks = np.array([r.k for r in refits])
+def _loo_family(loaded: _Loaded, samples: list[SubpopSample], refits: FitBatch):
+    """The leave-one-out entry of each sample under one family method, from the
+    fits of the ``loo_subsets`` of ``samples``: its cross-entropy, each refit's
+    density read at its held-out value, or the error of its first failed refit."""
     held = np.empty(len(refits))
-    for k in np.unique(ks):
-        rows = np.flatnonzero(ks == k)
-        for block in (rows[i:i + BATCH_SIZE] for i in range(0, rows.size, BATCH_SIZE)):
-            thetas = np.array([refits[j].theta for j in block])
-            dom, values = loaded.carry(loaded.model.domain, density_values(loaded.model, thetas))
-            held[block] = [np.interp(obs[j], dom.grid, v) for j, v in zip(block, values)]
-    return held
-
-
-def _loo_family(loaded: _Loaded, sample: SubpopSample, refits: list) -> dict:
-    """The leave-one-out entry of one sample under one family method, from the
-    fits of its ``loo_subsets`` in order: its cross-entropy, or the error of
-    its first refit that failed."""
-    failed = next((j for j, r in enumerate(refits) if isinstance(r, FIT_ERRORS)), None)
-    if failed is None:
-        return {"loo_ce": loo_score(_held_out(loaded, refits, sample.obs), sample.size)}
-    return {"loo_ce": None, "error": str(LooRefitError(failed, str(refits[failed])))}
+    obs = np.concatenate([s.obs for s in samples])
+    for rows, dom, values in _densities(loaded, refits):
+        held[rows] = [np.interp(obs[j], dom.grid, v) for j, v in zip(rows, values)]
+    for s, end in zip(samples, np.cumsum([s.size for s in samples])):
+        errors = refits.errors[end - s.size:end]
+        failed = next((j for j, e in enumerate(errors) if e is not None), None)
+        yield ({"loo_ce": loo_score(held[end - s.size:end], s.size)} if failed is None else
+               {"loo_ce": None, "error": str(LooRefitError(failed, str(errors[failed])))})
 
 
 def cmd_evaluate(args) -> int:
@@ -434,16 +429,18 @@ def cmd_evaluate(args) -> int:
             for row, s in zip(own, samples):
                 row |= _loo_kde(loaded, s)
         elif args.loo:
-            refits = iter(fit(loaded.model, subsets, method, k=k, k_max=k_max))
-            for row, s in zip(own, samples):
-                row |= _loo_family(loaded, s, [next(refits) for _ in range(s.size)])
+            refits = loaded.fit(subsets, method, k=k, k_max=k_max)
+            for row, entry in zip(own, _loo_family(loaded, samples, refits)):
+                row |= entry
         if levels and method != "kde":
-            for row, r in zip(own, loaded.fit(whole, method, k=k, k_max=k_max)):
-                if isinstance(r, FIT_ERRORS):
-                    row.setdefault("error", str(r))
-                else:
-                    dens = loaded.density(r)
-                    row["return_levels"] = {f"{t:g}": return_level(dens, t) for t in levels}
+            fits = loaded.fit(whole, method, k=k, k_max=k_max)
+            for row, err in zip(own, fits.errors):
+                if err is not None:
+                    row.setdefault("error", str(err))
+            for block, dom, values in _densities(loaded, fits):
+                for i, v in zip(block, values):
+                    own[i]["return_levels"] = {f"{t:g}": return_level(GridFn(dom, v), t)
+                                               for t in levels}
 
     if args.loo:
         table = [(r["id"], r["size"], r["stratum"], r["method"],

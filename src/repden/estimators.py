@@ -1,8 +1,8 @@
 """Fitting a new sample within the trained family: MLE, MAP, BLUP, and AIC.
 
 All three fits reduce to the shared convex solver in :mod:`repden.expfam`.
-Every fitter takes one sample or a sequence of samples; a sequence is
-solved as one batch and gives one result or one error per sample.  The MAP
+Every fitter takes one sample, which gives a :class:`FitResult` or raises, or
+a sequence of samples, solved as one batch into a :class:`FitBatch`.  The MAP
 posterior multiplies the per-observation likelihood by the sample
 size before adding the log-prior, so smaller samples are shrunk harder; the
 BLUP combines the sample statistic with the training mean through the
@@ -11,7 +11,8 @@ between- versus within-subpopulation covariances in moment coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,6 +81,60 @@ class FitResult:
         return 2.0 * self.k - 2.0 * self.loglik
 
 
+@dataclass(frozen=True, eq=False)
+class FitBatch(Sequence):
+    """The fits of a batch of samples as read-only columns, one row per sample:
+    ``k`` (0 where the row failed), ``theta`` and ``xi`` NaN-padded to the
+    widest truncation, ``aic`` with one column per truncation (NaN where it
+    was not fitted), and ``errors`` (a failed row's error, else None).
+    ``batch[i]`` builds row ``i``'s :class:`FitResult`, or is its error."""
+
+    method: str
+    k: np.ndarray
+    theta: np.ndarray
+    xi: np.ndarray
+    log_normalizer: np.ndarray
+    loglik: np.ndarray
+    n_obs: np.ndarray
+    aic: np.ndarray
+    errors: tuple
+
+    def __post_init__(self):
+        for a in (self.k, self.theta, self.xi, self.log_normalizer, self.loglik, self.n_obs,
+                  self.aic):
+            a.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        if self.errors[i] is not None:
+            return self.errors[i]
+        k = int(self.k[i])
+        trace = tuple((j + 1, a) for j, a in enumerate(self.aic[i].tolist()) if not np.isnan(a))
+        return FitResult(self.method, k, self.theta[i, :k], self.xi[i, :k],
+                         float(self.log_normalizer[i]), float(self.loglik[i]), trace,
+                         int(self.n_obs[i]))
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def item(self) -> FitResult:
+        """The first row's :class:`FitResult`; raises the row's error."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return self[0]
+
+
+def _columns(m: int, width: int) -> dict:
+    """Writable :class:`FitBatch` columns of ``m`` rows, none of them fitted."""
+    return {"k": np.zeros(m, dtype=int), "theta": np.full((m, width), np.nan),
+            "xi": np.full((m, width), np.nan), "log_normalizer": np.full(m, np.nan),
+            "loglik": np.full(m, np.nan), "aic": np.full((m, width), np.nan)}
+
+
 def as_samples(obs) -> tuple[list[np.ndarray], bool]:
     """``obs`` as a list of 1-D samples, and whether it was a single sample.
 
@@ -108,10 +163,13 @@ class _Samples:
 
 def prepare(model: FamilyModel, obs, k: int, scale=None) -> tuple[_Samples, bool]:
     """``obs`` reduced up to truncation ``k``, and whether it was one sample;
-    already reduced samples pass through as a batch.  ``scale`` maps a
-    sample to the model's scale first; a sample it rejects with a
-    ``ValueError`` keeps that error, as does one that fails validation."""
+    reduced samples pass through as a batch (a ``ValueError`` if narrower than
+    ``k``).  ``scale`` maps a sample to the model's scale first; a sample it
+    rejects with a ``ValueError`` keeps that error, as does one that fails validation."""
     if isinstance(obs, _Samples):
+        if obs.phibar.shape[1] < k:
+            raise ValueError(f"samples reduced up to truncation {obs.phibar.shape[1]} "
+                             f"cannot be fitted at truncation {k}")
         return obs, False
     samples, single = as_samples(obs)
     m = len(samples)
@@ -162,38 +220,30 @@ def loo_subsets(model: FamilyModel, samples: list[np.ndarray], k: int, scale=Non
                     errors=tuple(e for p in parts for e in p.errors))
 
 
-def _unwrap(results: list, single: bool):
-    """One sample's result, raising its error; or the whole list."""
-    if not single:
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
-
-
 def _fit(model: FamilyModel, obs, k: int, theta0, method: str, solve):
     """Run ``solve(n, phibar, theta0)``, which returns the solver's
     :class:`NewtonRecord`, on the samples whose statistics are inside the
-    moment range, and package every row from its record."""
+    moment range, and copy the rows it solved into a :class:`FitBatch`."""
     s, single = prepare(model, obs, k)
     phibar = s.phibar[:, :k]
-    results = list(s.errors)
+    errors = np.array(s.errors, dtype=object)
     for i in np.flatnonzero(_outside_range(model, phibar)):
-        results[i] = MomentRangeError()
-    rows = np.flatnonzero([e is None for e in results])
-    if rows.size:
-        start = None if theta0 is None else np.reshape(theta0, phibar.shape)[rows]
-        n = s.n[rows]
-        rec = solve(n, phibar[rows], start)
-        # the sum over observations of mu + phi @ theta - B, from the means
-        loglik = n * (s.mu_bar[rows] + np.einsum("ij,ij->i", phibar[rows], rec.theta) - rec.b)
-        for j, i in enumerate(rows):
-            ll = float(loglik[j])
-            results[i] = rec.errors[j] if rec.errors[j] is not None else FitResult(
-                method=method, k=k, theta=rec.theta[j], xi=rec.xi[j],
-                log_normalizer=float(rec.b[j]), loglik=ll,
-                aic_trace=((k, 2.0 * k - 2.0 * ll),), n_obs=int(n[j]))
-    return _unwrap(results, single)
+        errors[i] = MomentRangeError()
+    rows = np.flatnonzero([e is None for e in errors])
+    start = None if theta0 is None else np.reshape(theta0, phibar.shape)[rows]
+    rec = solve(s.n[rows], phibar[rows], start) if rows.size else NewtonRecord.failed(k, ())
+    # the sum over observations of mu + phi @ theta - B, from the means
+    loglik = s.n[rows] * (s.mu_bar[rows] + np.einsum("ij,ij->i", phibar[rows], rec.theta) - rec.b)
+    errors[rows] = rec.errors
+    ok = np.array([e is None for e in rec.errors], dtype=bool)
+    done = rows[ok]
+    # the columns are made after the solve, so they never share its peak
+    c = _columns(len(s), k)
+    c["k"][done], c["theta"][done], c["xi"][done] = k, rec.theta[ok], rec.xi[ok]
+    c["log_normalizer"][done], c["loglik"][done] = rec.b[ok], loglik[ok]
+    c["aic"][done, k - 1] = 2.0 * k - 2.0 * loglik[ok]
+    batch = FitBatch(method, n_obs=s.n.copy(), errors=tuple(errors), **c)
+    return batch.item() if single else batch
 
 
 def shrinkage_stats(model: FamilyModel, k: int, fit_n) -> ShrinkageStats:
@@ -315,8 +365,8 @@ def fit(model: FamilyModel, obs, method: str, k: int | None = None,
     components when ``k_max`` is None).  One sample gives a
     :class:`FitResult` or raises; a sequence of samples (see
     :func:`as_samples`), or the subsets of :func:`loo_subsets`, is fitted
-    as one batch and gives, per sample, a :class:`FitResult` or the
-    ``FIT_ERRORS`` instance it failed with.
+    as one batch and gives a :class:`FitBatch`, whose row for a failed
+    sample holds the ``FIT_ERRORS`` instance it failed with.
     """
     if k is None:
         return select_k_aic(model, obs, method,
@@ -337,22 +387,35 @@ def select_k_aic(model: FamilyModel, obs, method: str, k_max: int):
     if not 1 <= k_max <= model.n_components:
         raise ValueError(f"k_max must be in [1, {model.n_components}], got {k_max}")
     s, single = prepare(model, obs, k_max)
-    best: list[tuple[float, FitResult] | None] = [None] * len(s)
-    traces: list[list[tuple[int, float]]] = [[] for _ in range(len(s))]
+    c = _columns(len(s), k_max)
+    best = np.full(len(s), np.inf)
     warm = np.zeros((len(s), k_max))
     for k in range(1, k_max + 1):
-        for i, r in enumerate(fitter(model, s, k, theta0=warm[:, :k])):
-            if isinstance(r, FitResult):
-                warm[i, :k] = r.theta
-                aic = r.aic
-                traces[i].append((k, aic))
-                if best[i] is None or aic < best[i][0]:
-                    best[i] = (aic, r)
+        r = _as_batch(fitter(model, s, k, theta0=warm[:, :k]), k)
+        ok = r.k > 0
+        warm[ok, :k] = r.theta[ok, :k]
+        aic = c["aic"][:, k - 1] = r.aic[:, k - 1]
+        wins = ok & ((c["k"] == 0) | (aic < best))
+        best[wins], c["k"][wins] = aic[wins], k
+        c["theta"][wins, :k], c["xi"][wins, :k] = r.theta[wins, :k], r.xi[wins, :k]
+        c["log_normalizer"][wins], c["loglik"][wins] = r.log_normalizer[wins], r.loglik[wins]
+        del r, aic  # before the next truncation's solve
     failed = f"all truncations 1..{k_max} failed for method {method!r}"
-    results = [
-        err if err is not None
-        else FitFailedError(failed) if b is None
-        else replace(b[1], aic_trace=tuple(trace))
-        for err, b, trace in zip(s.errors, best, traces)
-    ]
-    return _unwrap(results, single)
+    errors = tuple(e if e is not None or k else FitFailedError(failed)
+                   for e, k in zip(s.errors, c["k"]))
+    batch = FitBatch(method.upper(), n_obs=s.n.copy(), errors=errors, **c)
+    return batch.item() if single else batch
+
+
+def _as_batch(results, k: int) -> FitBatch:
+    """A fitter's results at truncation ``k`` as a :class:`FitBatch`; a plain
+    list of :class:`FitResult` and errors is copied into columns."""
+    if isinstance(results, FitBatch):
+        return results
+    c = _columns(len(results), k)
+    for i, r in enumerate(results):
+        if isinstance(r, FitResult):
+            c["k"][i], c["log_normalizer"][i], c["loglik"][i] = k, r.log_normalizer, r.loglik
+            c["theta"][i], c["xi"][i], c["aic"][i, k - 1] = r.theta, r.xi, r.aic
+    return FitBatch("", n_obs=np.zeros(len(results), dtype=int), errors=tuple(
+        None if isinstance(r, FitResult) else r for r in results), **c)

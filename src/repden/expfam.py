@@ -243,8 +243,11 @@ def density_values(model: FamilyModel, thetas: np.ndarray) -> np.ndarray:
     return np.maximum(g, DENSITY_FLOOR, out=g)
 
 
-def density(model: FamilyModel, theta) -> GridFn:
-    """The family density for natural parameter ``theta`` on the model grid."""
+def density(model: FamilyModel, theta) -> GridFn | tuple[Domain, np.ndarray]:
+    """The family density for natural parameter ``theta`` on the model grid; a
+    stack ``(m, k)`` gives the domain and the rows of :func:`density_values`."""
+    if np.ndim(theta) == 2:
+        return model.domain, density_values(model, theta)
     theta = _check_theta(model, theta)
     return GridFn(model.domain, density_values(model, theta[None])[0])
 

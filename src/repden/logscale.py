@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import _unwrap, fit, prepare
+from .estimators import fit, prepare
 from .expfam import FamilyModel, density, rowwise, train_family
 from .grid import Domain, GridFn
 from .presmooth import SubpopSample
@@ -106,7 +106,8 @@ def fit_original_scale(
     """
     width = k or k_max or m.inner.n_components
     s, single = prepare(m.inner, obs_y, width, partial(clamp_log_obs, m))
-    return _unwrap(fit(m.inner, s, method, k=k, k_max=k_max), single)
+    batch = fit(m.inner, s, method, k=k, k_max=k_max)
+    return batch.item() if single else batch
 
 
 def response_domain(dom: Domain) -> Domain:
@@ -141,6 +142,9 @@ def pushforward(p_x: GridFn) -> GridFn:
     return GridFn(ydom, vals[0])
 
 
-def density_original_scale(m: ScaledModel, theta) -> GridFn:
-    """The fitted density carried back to the response scale by :func:`pushforward`."""
+def density_original_scale(m: ScaledModel, theta) -> GridFn | tuple[Domain, np.ndarray]:
+    """The fitted density carried back to the response scale by :func:`pushforward`;
+    a stack ``(m, k)`` of ``theta`` gives :func:`pushforward_values` of its rows."""
+    if np.ndim(theta) == 2:
+        return pushforward_values(*density(m.inner, theta))
     return pushforward(density(m.inner, theta))

@@ -77,12 +77,11 @@ def run_replication(
     reports: dict[str, EvalReport] = {}
     ks: dict[str, tuple[int, ...]] = {}
     for method in methods:
-        results = fit(model, batch, method, k_max=sweep_k)
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-        reports[method] = mean_kl(truths, [density(model, r.theta) for r in results])
-        ks[method] = tuple(r.k for r in results)
+        fits = fit(model, batch, method, k_max=sweep_k)
+        if not fits.k.all():
+            raise next(filter(None, fits.errors))
+        reports[method] = mean_kl(truths, [density(model, r.theta) for r in fits])
+        ks[method] = tuple(fits.k.tolist())
     if kde_baseline:
         reports["kde"] = mean_kl(truths, [kde_fit(sample, domain) for sample, _ in test])
         ks["kde"] = (0,) * len(test)
