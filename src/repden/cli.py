@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import (BATCH_SIZE, FAMILY_METHODS, FIT_ERRORS, FitBatch, FitResult, fit,
+from .estimators import (FAMILY_METHODS, FIT_ERRORS, FitBatch, FitResult, fit,
                          loo_subsets, prepare)
 from .expfam import FamilyModel, density, train_family
 from .grid import Domain, GridFn
@@ -249,10 +249,8 @@ def _load(path) -> _Loaded:
 
 def _densities(loaded: _Loaded, fits: FitBatch):
     """``(rows, domain, values)``: densities in the data's scale, by blocks of fitted rows."""
-    for k in np.unique(fits.k[fits.k > 0]):
-        rows = np.flatnonzero(fits.k == k)
-        for block in (rows[i:i + BATCH_SIZE] for i in range(0, rows.size, BATCH_SIZE)):
-            yield (block, *loaded.density(fits.theta[block, :k]))
+    for rows, theta in fits.blocks():
+        yield (rows, *loaded.density(theta))
 
 
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:

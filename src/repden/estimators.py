@@ -30,6 +30,10 @@ from .expfam import (
     _outside_range,
 )
 
+# Rows of one stacked density call in FitBatch.blocks: each holds a few
+# rows x grid buffers, and 256-row blocks raised simulate's peak memory.
+DENSITY_ROWS = 32
+
 BLUP_RIDGE = 1e-10
 BLUP_COND_LIMIT = 1e12
 BLUP_BOX_MARGIN = 1e-6
@@ -120,6 +124,16 @@ class FitBatch(Sequence):
 
     def __eq__(self, other):
         return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def blocks(self):
+        """``(rows, theta)`` for the fitted rows, by blocks of at most
+        ``DENSITY_ROWS`` rows of one truncation ``k`` (ascending): ``theta`` is
+        ``self.theta[rows, :k]``, ready for one stacked density call."""
+        for k in sorted(set(self.k.tolist()) - {0}):
+            rows = np.flatnonzero(self.k == k)
+            for start in range(0, rows.size, DENSITY_ROWS):
+                block = rows[start:start + DENSITY_ROWS]
+                yield block, self.theta[block, :k]
 
     def item(self) -> FitResult:
         """The first row's :class:`FitResult`; raises the row's error."""

@@ -1,10 +1,13 @@
-"""Uniform-grid function representation, quadrature, and density quantiles.
+"""Uniform-grid function representation, quadrature, and quantiles.
 
 Every function in the package (densities, log-densities, eigenfunctions) is
 carried as its values on a fixed equispaced grid over a compact interval.
 All integrals use the trapezoidal rule with weights from :attr:`Domain.trap_weights`,
 so linear identities hold exactly in the discrete system.  The one density
 floor, :data:`DENSITY_FLOOR`, and normalization check, :func:`check_normalized`, live here.
+Sample quartiles and medians are read off sorted values by index arithmetic,
+with numpy's rules; ``np.percentile`` and ``np.median`` would load
+``numpy.ma`` on numpy 2.
 """
 
 from __future__ import annotations
@@ -157,3 +160,30 @@ def quantile_of_density(p: GridFn, q: float) -> float:
     # first index with cdf[j] >= q, hence the cell (j-1, j) has positive mass
     frac = (q_eff - cdf[j - 1]) / (cdf[j] - cdf[j - 1])
     return float(t[j - 1] + frac * (t[j] - t[j - 1]))
+
+
+def sorted_quantile(x: np.ndarray, q: float):
+    """The ``q`` quantile of sorted values along the last axis of ``x``, bit
+    for bit ``np.percentile(x, 100 * q, axis=-1)``: with ``g`` the fraction of
+    ``(n - 1) * q`` and ``a``, ``b`` the values either side of it, ``a + (b -
+    a) * g`` for ``g < 0.5`` and ``b - (b - a) * (1 - g)`` otherwise.  Only
+    the sign of a zero may differ where ``x`` holds both -0 and +0: numpy
+    partitions, and which of the two it reads is its own."""
+    pos = (x.shape[-1] - 1) * q
+    i = math.floor(pos)
+    g = pos - i
+    a, b = x[..., i], x[..., min(i + 1, x.shape[-1] - 1)]
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
+def sorted_median(x: np.ndarray) -> float:
+    """The median of the sorted values ``x`` (NaNs last, as ``np.sort``
+    leaves them), bit for bit ``np.median(x)``: the middle value, or the mean
+    of the two middle values, and NaN where ``x`` is empty or holds one.
+    ``+ 0.0`` copies ``np.mean``'s sum, which starts from +0 and so never
+    gives -0."""
+    n = x.size
+    if not n or np.isnan(x[-1]):
+        return math.nan
+    mid = float(x[n // 2]) if n % 2 else (float(x[n // 2 - 1]) + float(x[n // 2])) / 2
+    return mid + 0.0

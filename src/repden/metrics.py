@@ -8,7 +8,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .grid import DomainMismatchError, GridFn, check_normalized, quantile_of_density
+from .grid import (DomainMismatchError, GridFn, check_normalized, quantile_of_density,
+                   sorted_median)
 
 # Points where the reference density is below this floor contribute zero,
 # which realizes the 0 * log 0 = 0 convention on the grid.
@@ -44,7 +45,7 @@ class EvalReport:
         return cls(
             per_sample=pairs,
             mean=float(values.mean()),
-            median=float(np.median(values)),
+            median=sorted_median(np.sort(values)),
             sd=sd,
         )
 

@@ -13,6 +13,11 @@ rejected because it corrupts the log-tails that the centered log transform
 feeds to the FPCA: on 20 samples of 20,000 observations with G = 512 it moved
 log p by up to 0.11 with a direct Toeplitz product, and by up to 652 with an
 FFT, whose round-off floors the tails.
+
+The same buffer takes a stack of equal-size samples, each with its own
+bandwidth.  :func:`silverman_kdes`, the per-sample baseline that ``simulate``
+scores, smooths many small samples with one kernel sum per stack; each
+sample's KDE is bit for bit the one :func:`weighted_kde` gives it alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DENSITY_FLOOR, Domain, GridFn
+from .grid import DENSITY_FLOOR, Domain, GridFn, sorted_median, sorted_quantile
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -107,6 +112,46 @@ def check_bandwidth(h: float, domain: Domain) -> None:
         raise ValueError(f"bandwidth {h:g} is above the domain length {domain.length:g} * 2**20")
 
 
+def _check_sample(sample: SubpopSample, h: float, domain: Domain) -> None:
+    if not domain.contains(sample.obs):
+        raise ValueError(
+            f"subpopulation {sample.id!r} has observations outside "
+            f"[{domain.lo}, {domain.hi}]"
+        )
+    check_bandwidth(h, domain)
+
+
+def _kde_rows(x: np.ndarray, h: np.ndarray, domain: Domain) -> np.ndarray:
+    """The KDE values of :func:`weighted_kde` for each row of ``x``, shape
+    ``(m, N)``, with bandwidth ``h[i]`` for row ``i``: an ``(m, G)`` array.
+
+    Rows share one buffer of blocks of grid rows against all ``m * N``
+    values, at most ``BUDGET`` elements or one grid row of each sample, so
+    a caller stacks ``m > 1`` samples only while ``m * G * N <= BUDGET``.
+    """
+    t = domain.grid
+    rows = max(1, BUDGET // x.size)
+    buf = np.empty((len(x), min(rows, t.size), x.shape[1]))
+    ksum = np.empty((len(x), t.size))
+    for start in range(0, t.size, rows):
+        z = buf[:, : t.size - start]
+        np.subtract(t[start:start + z.shape[1], None], x[:, None], out=z)
+        z /= h[:, None, None]
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        # one pairwise sum per row over the whole sample, as in the dense
+        # G x N evaluation, so the result does not depend on the block size
+        z.sum(axis=2, out=ksum[:, start:start + z.shape[1]])
+    ksum /= _SQRT_2PI
+    for row, hi in zip(ksum, h.tolist()):
+        raw = row * _grid_boundary_weight(hi, domain)
+        raw = raw / (domain.trap_weights @ raw)
+        vals = np.maximum(raw, DENSITY_FLOOR)
+        row[:] = vals / (domain.trap_weights @ vals)
+    return ksum
+
+
 def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn:
     """Boundary-corrected Gaussian KDE of ``sample`` on the domain grid.
 
@@ -119,54 +164,69 @@ def weighted_kde(sample: SubpopSample, cfg: KdeConfig, domain: Domain) -> GridFn
     varies by under 5e-13 across the domain; above it, the boundary weight,
     which grows like ``h``, can overflow its product with the kernel sum.
     """
-    if not domain.contains(sample.obs):
-        raise ValueError(
-            f"subpopulation {sample.id!r} has observations outside "
-            f"[{domain.lo}, {domain.hi}]"
-        )
-    t = domain.grid
-    h = cfg.bandwidth
-    check_bandwidth(h, domain)
-    x = sample.obs
-    rows = max(1, BUDGET // x.size)
-    buf = np.empty((min(rows, t.size), x.size))
-    ksum = np.empty(t.size)
-    for start in range(0, t.size, rows):
-        z = buf[: t.size - start]
-        np.subtract(t[start:start + len(z), None], x, out=z)
-        z /= h
-        np.square(z, out=z)
-        z *= -0.5
-        np.exp(z, out=z)
-        # one pairwise sum per row over the whole sample, as in the dense
-        # G x N evaluation, so the result does not depend on the block size
-        z.sum(axis=1, out=ksum[start:start + len(z)])
-    ksum /= _SQRT_2PI
-    raw = ksum * _grid_boundary_weight(h, domain)
-    raw = raw / (domain.trap_weights @ raw)
-    vals = np.maximum(raw, DENSITY_FLOOR)
-    vals = vals / (domain.trap_weights @ vals)
-    return GridFn(domain, vals)
+    _check_sample(sample, cfg.bandwidth, domain)
+    return GridFn(domain, _kde_rows(sample.obs[None], np.array([cfg.bandwidth]), domain)[0])
+
+
+def silverman_kdes(samples: list[SubpopSample], domain: Domain):
+    """Each sample's :func:`weighted_kde` with its own :func:`silverman_bandwidth`,
+    bit for bit, as ``(rows, domain, values)`` blocks: ``values[j]`` belongs
+    to ``samples[rows[j]]``.
+
+    A block holds samples of one size ``N``, as many as share one kernel-sum
+    buffer of ``BUDGET`` elements (at least one), and their bandwidths are
+    computed at once.  Every sample is checked before the first block is
+    made; the first in order that has no bandwidth or no KDE raises the
+    error :func:`silverman_bandwidth`, :class:`KdeConfig` or
+    :func:`weighted_kde` gives it.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        by_size.setdefault(s.size, []).append(i)
+    chunks = []
+    for n, idx in by_size.items():
+        step = max(1, BUDGET // (domain.n_grid * n))
+        chunks += [(n, idx[a:a + step]) for a in range(0, len(idx), step)]
+    h = np.full(len(samples), np.nan)  # stays NaN under two values or with no spread
+    for n, rows in chunks:
+        if n >= 2:
+            hs, sd = _silverman(np.stack([samples[i].obs for i in rows]))
+            h[rows] = np.where(sd == 0, np.nan, hs)
+    for s, hs in zip(samples, h.tolist()):
+        if math.isnan(hs):
+            silverman_bandwidth(s)  # raises under two values or with no spread
+        KdeConfig(bandwidth=hs)  # raises for a bandwidth that is not positive
+        _check_sample(s, hs, domain)
+    for _, rows in chunks:
+        x = np.stack([samples[i].obs for i in rows])
+        yield np.array(rows), domain, _kde_rows(x, h[rows], domain)
+
+
+def _silverman(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rule-of-thumb bandwidth of each row of sorted values ``x`` (last
+    axis, at least two values), and each row's standard deviation."""
+    sd = np.std(x, axis=-1, ddof=1)
+    iqr = sorted_quantile(x, 0.75) - sorted_quantile(x, 0.25)
+    spread = np.where(iqr > 0, np.minimum(sd, iqr / 1.34), sd)
+    return 0.9 * spread * x.shape[-1] ** (-0.2), sd
 
 
 def silverman_bandwidth(sample: SubpopSample) -> float:
     """Rule-of-thumb bandwidth ``0.9 * min(sd, IQR/1.34) * N^(-1/5)``.
 
-    Falls back to the standard deviation when the IQR is zero but the
-    sample still has spread; raises :class:`DegenerateSampleError` when all
-    values coincide.
+    The quartiles follow numpy's linear rule on the sorted sample.  Falls
+    back to the standard deviation when the IQR is zero but the sample still
+    has spread; raises :class:`DegenerateSampleError` when all values
+    coincide.
     """
     if sample.size < 2:
         raise ValueError("bandwidth selection needs at least two observations")
-    sd = float(np.std(sample.obs, ddof=1))
+    h, sd = _silverman(sample.obs)
     if sd == 0.0:
         raise DegenerateSampleError(
             f"subpopulation {sample.id!r} has zero spread"
         )
-    q1, q3 = np.percentile(sample.obs, [25.0, 75.0])
-    iqr = float(q3 - q1)
-    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return 0.9 * spread * sample.size ** (-0.2)
+    return float(h)
 
 
 def median_bandwidth(samples: list[SubpopSample]) -> float:
@@ -179,4 +239,4 @@ def median_bandwidth(samples: list[SubpopSample]) -> float:
             continue
     if not bandwidths:
         raise DegenerateSampleError("no sample yields a valid bandwidth")
-    return float(np.median(bandwidths))
+    return sorted_median(np.sort(bandwidths))

@@ -3,13 +3,16 @@
 One replication draws fresh training and testing populations, trains the
 family on the training samples, fits every testing sample with the
 requested methods plus a per-sample KDE baseline, and scores each fit by KL
-divergence against the known truth.  Replications run in order in the
-calling process, each seeded from the master seed and its index.  The CLI
-writes each replication's files as soon as it is scored and keeps only its
-MKL, so its memory does not grow with the replication count.  Under the
-CLI the scores repeat bit for bit whatever ``OPENBLAS_NUM_THREADS`` says;
-a program that imported numpy before repden keeps its BLAS thread count,
-which training's FPCA depends on.
+divergence against the known truth.  Each method's fits are scored in
+blocks: one stacked density call per block of rows of one truncation, and
+one kernel sum per stack of equal-size samples for the KDE baseline, each
+sample with its own bandwidth; the divergences are taken row by row.
+Replications run in order in the calling process, each seeded from the
+master seed and its index.  The CLI writes each replication's files as soon
+as it is scored and keeps only its MKL, so its memory does not grow with the
+replication count.  Under the CLI the scores repeat bit for bit whatever
+``OPENBLAS_NUM_THREADS`` says; a program that imported numpy before repden
+keeps its BLAS thread count, which training's FPCA depends on.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from .estimators import FAMILY_METHODS, fit, prepare
 from .expfam import density, train_family
 from .grid import GridFn
-from .metrics import EvalReport, mean_kl
-from .presmooth import KdeConfig, SubpopSample, silverman_bandwidth, weighted_kde
+from .metrics import kl_div
+from .presmooth import SubpopSample, silverman_kdes
 from .simgen import ScenarioSpec, generate, scenario_domain, smallest_size
 
 
@@ -43,10 +46,21 @@ def rep_seed(master_seed: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def kde_fit(sample: SubpopSample, domain) -> GridFn:
-    """The untrained baseline: boundary-corrected KDE with its own bandwidth."""
-    h = silverman_bandwidth(sample)
-    return weighted_kde(sample, KdeConfig(bandwidth=h), domain)
+def _mean_kl(truths: list[GridFn], blocks) -> float:
+    """The mean KL divergence from each truth to its fit, with the fits as
+    ``(rows, domain, values)`` blocks in any order; one :func:`kl_div` per
+    row, and the first row in order whose divergence fails raises its error."""
+    kl = np.empty(len(truths))
+    failed = {}
+    for rows, dom, values in blocks:
+        for i, v in zip(rows.tolist(), values):
+            try:
+                kl[i] = kl_div(truths[i], GridFn(dom, v))
+            except ValueError as exc:
+                failed[i] = exc
+    if failed:
+        raise failed[min(failed)]
+    return float(kl.mean())
 
 
 def run_replication(
@@ -74,20 +88,21 @@ def run_replication(
 
     truths = [truth for _, truth in test]
     batch = prepare(model, [sample.obs for sample, _ in test], sweep_k)[0]  # once for all methods
-    reports: dict[str, EvalReport] = {}
+    mkl: dict[str, float] = {}
     ks: dict[str, tuple[int, ...]] = {}
     for method in methods:
         fits = fit(model, batch, method, k_max=sweep_k)
         if not fits.k.all():
             raise next(filter(None, fits.errors))
-        reports[method] = mean_kl(truths, [density(model, r.theta) for r in fits])
+        mkl[method] = _mean_kl(truths, ((rows, *density(model, theta))
+                                        for rows, theta in fits.blocks()))
         ks[method] = tuple(fits.k.tolist())
     if kde_baseline:
-        reports["kde"] = mean_kl(truths, [kde_fit(sample, domain) for sample, _ in test])
+        mkl["kde"] = _mean_kl(truths, silverman_kdes([sample for sample, _ in test], domain))
         ks["kde"] = (0,) * len(test)
 
     return RepOutcome(
-        mkl={m: r.mean for m, r in reports.items()},
+        mkl=mkl,
         selected_k=ks,
         train=train,
         test=test,
