@@ -11,6 +11,7 @@ inverted by a damped Newton iteration on the strictly convex dual objective.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -505,13 +506,70 @@ def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None
 
 
 def _presmooth_workers(n_samples: int) -> int:
-    """Threads for pre-smoothing: one per CPU this process may run on, at
-    most one per sample."""
+    """Workers for pre-smoothing, the calling thread included: one per CPU
+    this process may run on, at most one per sample."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return min(cpus, n_samples)
+
+
+def _smooth_all(smooth, samples: list[SubpopSample]) -> tuple[GridFn, ...]:
+    """``smooth`` of every sample, in input order.
+
+    The calling thread and ``_presmooth_workers(n) - 1`` threads each take
+    the next sample index from one counter until it runs out, and write the
+    sample's density into its slot.  A failure stops the counter; every
+    earlier index was handed out before it, so once the threads are joined
+    the first failing sample in input order raises its own exception.  An
+    interrupt in the calling thread (any ``BaseException`` that is not an
+    ``Exception``) also stops the counter, and propagates once the threads
+    are joined.
+    """
+    n = len(samples)
+    out: list = [None] * n
+    lock = threading.Lock()
+    cursor = 0
+
+    def take() -> int | None:
+        nonlocal cursor
+        with lock:
+            i = cursor
+            cursor += 1
+        return i if i < n else None
+
+    def halt() -> None:
+        nonlocal cursor
+        with lock:
+            cursor = n
+
+    def work() -> None:
+        while (i := take()) is not None:
+            try:
+                out[i] = smooth(samples[i])
+            except BaseException as exc:
+                out[i] = exc
+                halt()
+                if not isinstance(exc, Exception):
+                    raise
+
+    threads = [threading.Thread(target=work, name=f"repden-presmooth-{j}")
+               for j in range(1, _presmooth_workers(n))]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    except BaseException:
+        halt()
+        raise
+    finally:
+        for t in threads:
+            t.join()
+    for p in out:
+        if isinstance(p, BaseException):
+            raise p
+    return tuple(out)
 
 
 def train_family(
@@ -524,22 +582,20 @@ def train_family(
 
     Pre-smooths every sample with the boundary-corrected KDE (median
     bandwidth unless one is given), applies the centered log transform, and
-    runs the weighted eigendecomposition.  The samples are pre-smoothed in a
-    thread pool of one worker per available CPU (the kernel sums are numpy
-    work that releases the GIL); each density depends on its sample alone
-    and comes back in input order, so the model is the same for any worker
-    count, and the first sample outside the domain in input order is the one
-    reported.
+    runs the weighted eigendecomposition.  The calling thread pre-smooths
+    its share of the samples and one more thread per further available CPU
+    takes the rest (the kernel sums are numpy work that releases the GIL);
+    with one CPU no thread is started.  Each density depends
+    on its sample alone and lands in its input slot, so the model is the
+    same for any worker count, and the first sample outside the domain in
+    input order is the one reported.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     n = len(samples)
     if n < 2:
         raise ValueError("training requires at least two subpopulations")
     h = float(bandwidth) if bandwidth is not None else median_bandwidth(samples)
     smooth = partial(weighted_kde, cfg=KdeConfig(bandwidth=h), domain=domain)
-    with ThreadPoolExecutor(max_workers=_presmooth_workers(n)) as pool:
-        densities = tuple(pool.map(smooth, samples))
+    densities = _smooth_all(smooth, samples)
     trajs = [clog_transform(p) for p in densities]
     sys = fit_fpca(trajs, min(k_max, n - 1))
     meta = ModelMeta(
