@@ -4,9 +4,10 @@ Exit codes: 0 success (possibly with per-item errors), 1 usage error,
 2 I/O or parse error, 3 total numerical failure.  Every command runs in
 one process: ``fit`` and ``evaluate`` fit as batches, ``simulate`` runs its
 replications in order; all three accept ``--threads`` for compatibility and
-ignore it.  ``train`` pre-smooths its groups with one worker per available
-CPU, the calling thread included, which leaves its model unchanged.  Every
-command is deterministic given its inputs, flags, and seed: ``import
+ignore it.  ``train`` pre-smooths its groups on the calling thread, plus a
+helper thread per further available CPU while the kernel sums give each
+worker ``expfam.HELPER_LANES`` values; no worker count changes the model.
+Every command is deterministic given its inputs, flags, and seed: ``import
 repden`` starts numpy's OpenBLAS on one thread, so training's BLAS-threaded
 FPCA does not depend on ``OPENBLAS_NUM_THREADS``.
 """

@@ -20,7 +20,7 @@ import numpy as np
 from .fpca import EigenSystem, fit_fpca
 from .grid import DENSITY_FLOOR, Domain, GridFn
 from .logmap import clog_transform
-from .presmooth import KdeConfig, SubpopSample, median_bandwidth, weighted_kde
+from .presmooth import BUDGET, KdeConfig, SubpopSample, median_bandwidth, weighted_kde
 
 NEWTON_MAX_ITER = 200
 NEWTON_GRAD_TOL = 1e-9
@@ -34,13 +34,25 @@ _SLACK = 10.0 * np.finfo(float).eps
 # target sits on the attainable boundary is often false.
 THETA_DIVERGENCE_BOUND = 500.0
 
-# Rows one objective evaluation of the Newton solve takes at a time, holding
-# one ``BATCH_SIZE x n_grid`` array of weighted densities.  On 4800
-# leave-one-out subsets at 512 grid points (2-vCPU VM), ``select_k_aic`` to
-# k = 4 peaked at 32.7 MiB with all rows in one evaluation and 10.1 MiB in
-# blocks, and one sweep of the whole batch took 0.59 s against 0.70-0.89 s
-# for 19 sweeps of 256 samples.
+# The most rows one objective evaluation of the Newton solve takes at a time;
+# it also takes at most ``BUDGET // n_grid`` rows (at least one), so its
+# array of weighted densities holds at most ``BUDGET`` values (512 KiB) on
+# any grid of up to ``BUDGET`` points: 128 rows at 512 points, 16 at 4096.
+# Blocks of 256 rows at every grid size made ``select_k_aic`` to k = 4 on
+# 300 samples peak at 1.33 MiB at 512 points and 8.33 MiB at 4096, and on
+# 1024 samples at 2048 points at 4.91 MiB; the budget gives 0.82, 0.81 and
+# 1.38 MiB, and the same CPU time to within 2% (tracemalloc, 2-vCPU VM).
 BATCH_SIZE = 256
+
+# Kernel-sum values of pre-smoothing (grid points times observations) that
+# pay for one worker: training adds a helper thread to the calling thread
+# only for each further ``HELPER_LANES`` values, since a thread's malloc
+# arena raised the peak of ``simulate`` by 0.77 MB.  At 512 grid points on
+# a 2-vCPU VM (best of 7-11, serial against two workers), 50-100 groups of
+# 200 values (5-10M) took 17-35 ms either way, 30 x 1000 (15M) 48 against
+# 27 ms, 40 x 2000 (41M) 130-135 against 74-79 ms, and 20 x 20000 (205M)
+# 673 against 356 ms.
+HELPER_LANES = 1 << 23
 
 
 class MomentRangeError(ValueError):
@@ -380,10 +392,10 @@ def newton_minimize(
     A row fails at the iteration cap only if the convergence test after its
     ``NEWTON_MAX_ITER``-th step fails too.
 
-    An objective evaluation of up to ``BATCH_SIZE`` rows holds one
-    ``(min(m, BATCH_SIZE), n_grid)`` buffer, their weighted densities, until
-    the second moments of the rows it accepts are taken, so only per-row
-    values carry across iterations.
+    An objective evaluation takes the rows in blocks of at most
+    ``BATCH_SIZE`` rows and ``BUDGET`` grid values, and holds one block's
+    weighted densities until the second moments of the rows it accepts are
+    taken, so only per-row values carry across iterations.
     """
     target = np.atleast_2d(np.asarray(target, dtype=float))
     m = target.shape[0]
@@ -400,14 +412,15 @@ def newton_minimize(
     grad, xi, step = np.zeros((3, *target.shape))
     second = np.zeros((m, k * k))
     iterations, halvings = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    block = max(1, min(BATCH_SIZE, BUDGET // model.domain.n_grid))
 
     def take(sel, cand, t):
         """Evaluate the problems ``sel`` at ``cand``, accept each row that passes
         the Armijo test for step length ``t`` (every row if ``t`` is None), and
         return which rows were accepted."""
         ok = np.ones(sel.size, dtype=bool)
-        for a in range(0, sel.size, BATCH_SIZE):
-            blk, c, acc = sel[a:a + BATCH_SIZE], cand[a:a + BATCH_SIZE], ok[a:a + BATCH_SIZE]
+        for a in range(0, sel.size, block):
+            blk, c, acc = sel[a:a + block], cand[a:a + block], ok[a:a + block]
             wp, b_c, xi_c = _moments(model, c)
             f_c = b_c + (c * (0.5 * d[blk] * c - target[blk])).sum(axis=1)
             grad_c = xi_c - target[blk] + d[blk] * c
@@ -505,22 +518,24 @@ def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None
     return rec.theta[0]
 
 
-def _presmooth_workers(n_samples: int) -> int:
-    """Workers for pre-smoothing, the calling thread included: one per CPU
-    this process may run on, at most one per sample."""
+def _presmooth_workers(lanes: int) -> int:
+    """Workers for pre-smoothing, the calling thread included: one per lane,
+    at least one, and at most one per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cpus, n_samples)
+    return max(1, min(cpus, lanes))
 
 
-def _smooth_all(smooth, samples: list[SubpopSample]) -> tuple[GridFn, ...]:
+def _smooth_all(smooth, samples: list[SubpopSample],
+                lanes: int | None = None) -> tuple[GridFn, ...]:
     """``smooth`` of every sample, in input order.
 
-    The calling thread and ``_presmooth_workers(n) - 1`` threads each take
-    the next sample index from one counter until it runs out, and write the
-    sample's density into its slot.  A failure stops the counter; every
+    The calling thread and ``_presmooth_workers(lanes) - 1`` threads (one
+    lane per sample unless ``lanes`` is given) each take the next sample
+    index from one counter until it runs out, and write the sample's
+    density into its slot.  A failure stops the counter; every
     earlier index was handed out before it, so once the threads are joined
     the first failing sample in input order raises its own exception.  An
     interrupt in the calling thread (any ``BaseException`` that is not an
@@ -554,8 +569,9 @@ def _smooth_all(smooth, samples: list[SubpopSample]) -> tuple[GridFn, ...]:
                 if not isinstance(exc, Exception):
                     raise
 
+    workers = _presmooth_workers(n if lanes is None else lanes)
     threads = [threading.Thread(target=work, name=f"repden-presmooth-{j}")
-               for j in range(1, _presmooth_workers(n))]
+               for j in range(1, workers)]
     for t in threads:
         t.start()
     try:
@@ -582,20 +598,23 @@ def train_family(
 
     Pre-smooths every sample with the boundary-corrected KDE (median
     bandwidth unless one is given), applies the centered log transform, and
-    runs the weighted eigendecomposition.  The calling thread pre-smooths
-    its share of the samples and one more thread per further available CPU
-    takes the rest (the kernel sums are numpy work that releases the GIL);
-    with one CPU no thread is started.  Each density depends
-    on its sample alone and lands in its input slot, so the model is the
-    same for any worker count, and the first sample outside the domain in
-    input order is the one reported.
+    runs the weighted eigendecomposition.  Pre-smoothing runs one worker per
+    ``HELPER_LANES`` kernel-sum values (grid points times observations), at
+    least one and at most one per sample and per available CPU: the calling
+    thread takes its share of the samples and helper threads take the rest
+    (the kernel sums are numpy work that releases the GIL), so a training
+    set of under ``2 * HELPER_LANES`` values starts no thread.  Each density
+    depends on its sample alone and lands in its input slot, so the model is
+    the same for any worker count, and the first sample outside the domain
+    in input order is the one reported.
     """
     n = len(samples)
     if n < 2:
         raise ValueError("training requires at least two subpopulations")
     h = float(bandwidth) if bandwidth is not None else median_bandwidth(samples)
     smooth = partial(weighted_kde, cfg=KdeConfig(bandwidth=h), domain=domain)
-    densities = _smooth_all(smooth, samples)
+    lanes = min(n, sum(s.size for s in samples) * domain.n_grid // HELPER_LANES)
+    densities = _smooth_all(smooth, samples, lanes)
     trajs = [clog_transform(p) for p in densities]
     sys = fit_fpca(trajs, min(k_max, n - 1))
     meta = ModelMeta(

@@ -79,13 +79,29 @@ def model_to_dict(model: FamilyModel) -> dict:
     }
 
 
+# Python types of the JSON scalar kinds; a JSON boolean is the only ``bool``,
+# which Python also counts as an ``int``.
+_JSON_SCALARS = {"boolean": bool, "integer": int, "number": (int, float)}
+
+
+def _scalar(obj: dict, key: str, kind: str):
+    """``obj[key]``, which must be a JSON ``kind`` ("boolean", "integer" or
+    "number"); anything else is a ``ValueError``."""
+    value = obj[key]
+    is_bool = isinstance(value, bool)
+    if is_bool != (kind == "boolean") or not isinstance(value, _JSON_SCALARS[kind]):
+        raise ValueError(f"{key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def model_from_dict(payload: dict) -> FamilyModel:
     try:
         version = payload["format_version"]
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
         dom = payload["domain"]
-        domain = Domain(float(dom["lo"]), float(dom["hi"]), int(dom["n_grid"]))
+        domain = Domain(float(_scalar(dom, "lo", "number")), float(_scalar(dom, "hi", "number")),
+                        _scalar(dom, "n_grid", "integer"))
         mu = LogDensityFn(GridFn(domain, np.array(payload["mu"], dtype=float)))
         eigvals = np.array(payload["eigvals"], dtype=float)
         eigfns = tuple(
@@ -101,9 +117,9 @@ def model_from_dict(payload: dict) -> FamilyModel:
         meta = ModelMeta(
             n_train=int(prov["n"]),
             train_sizes=tuple(int(s) for s in prov["sizes"]),
-            bandwidth=float(payload["bandwidth"]),
-            log_scale=bool(payload["log_scale"]),
-            delta=None if payload["delta"] is None else float(payload["delta"]),
+            bandwidth=float(_scalar(payload, "bandwidth", "number")),
+            log_scale=_scalar(payload, "log_scale", "boolean"),
+            delta=None if payload["delta"] is None else float(_scalar(payload, "delta", "number")),
             seed=prov.get("seed"),
             timestamp=prov.get("timestamp"),
         )
