@@ -5,8 +5,8 @@ Exit codes: 0 success (possibly with per-item errors), 1 usage error,
 one process: ``fit`` and ``evaluate`` fit as batches, ``simulate`` runs its
 replications in order; all three accept ``--threads`` for compatibility and
 ignore it.  ``train`` pre-smooths its groups on the calling thread, plus a
-helper thread per further available CPU while the kernel sums give each
-worker ``expfam.HELPER_LANES`` values; no worker count changes the model.
+helper thread per further available CPU once the kernel sums reach
+``expfam.HELPER_THRESHOLD`` values; no worker count changes the model.
 Every command is deterministic given its inputs, flags, and seed: ``import
 repden`` starts numpy's OpenBLAS on one thread, so training's BLAS-threaded
 FPCA does not depend on ``OPENBLAS_NUM_THREADS``.

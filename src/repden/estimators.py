@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import (
-    BATCH_SIZE,  # re-exported: callers take the solver's block size from here
+    BATCH_SIZE,  # re-exported: a batch longer than one solver block
     FamilyModel,
     MomentRangeError,
     NewtonDivergenceError,

@@ -34,25 +34,31 @@ _SLACK = 10.0 * np.finfo(float).eps
 # target sits on the attainable boundary is often false.
 THETA_DIVERGENCE_BOUND = 500.0
 
-# The most rows one objective evaluation of the Newton solve takes at a time;
-# it also takes at most ``BUDGET // n_grid`` rows (at least one), so its
-# array of weighted densities holds at most ``BUDGET`` values (512 KiB) on
-# any grid of up to ``BUDGET`` points: 128 rows at 512 points, 16 at 4096.
-# Blocks of 256 rows at every grid size made ``select_k_aic`` to k = 4 on
-# 300 samples peak at 1.33 MiB at 512 points and 8.33 MiB at 4096, and on
-# 1024 samples at 2048 points at 4.91 MiB; the budget gives 0.82, 0.81 and
-# 1.38 MiB, and the same CPU time to within 2% (tracemalloc, 2-vCPU VM).
+# One objective evaluation of the Newton solve takes ``BUDGET // n_grid``
+# rows at a time (at least one), so its array of weighted densities holds at
+# most ``BUDGET`` values (512 KiB) on any grid of up to ``BUDGET`` points: 128
+# rows at 512 points, 16 at 4096.  Blocks of 256 rows at every grid size made
+# ``select_k_aic`` to k = 4 on 300 samples peak at 1.33 MiB at 512 points and
+# 8.33 MiB at 4096, and on 1024 samples at 2048 points at 4.91 MiB; the
+# budget gives 0.82, 0.81 and 1.38 MiB, and the same CPU time to within 2%
+# (tracemalloc, 2-vCPU VM).  The solver does not read ``BATCH_SIZE``: it is a
+# batch longer than one block on any grid of 256 points or more, by which
+# tests size their multi-block batches.
 BATCH_SIZE = 256
 
-# Kernel-sum values of pre-smoothing (grid points times observations) that
-# pay for one worker: training adds a helper thread to the calling thread
-# only for each further ``HELPER_LANES`` values, since a thread's malloc
-# arena raised the peak of ``simulate`` by 0.77 MB.  At 512 grid points on
-# a 2-vCPU VM (best of 7-11, serial against two workers), 50-100 groups of
-# 200 values (5-10M) took 17-35 ms either way, 30 x 1000 (15M) 48 against
-# 27 ms, 40 x 2000 (41M) 130-135 against 74-79 ms, and 20 x 20000 (205M)
-# 673 against 356 ms.
-HELPER_LANES = 1 << 23
+# Kernel-sum values of pre-smoothing (grid points times observations) from
+# which training smooths on helper threads beside the calling thread, one
+# worker per available CPU; a smaller set is smoothed on the calling thread
+# alone, since a helper's malloc arena raised the peak of ``simulate`` by
+# 0.77 MB.  On a first call in a fresh process, as ``train`` and one
+# replication of ``simulate`` make it, serial against two workers at 512
+# grid points took (2-vCPU VM, medians of 11 processes) 20.3/21.1 ms on
+# 50 x 200 values (5.1M), 23.4/24.0 on 60 x 200 (6.1M), 28.4/29.4 on
+# 75 x 200 (7.7M), 54.9/39.9 on 100 x 200 (10.2M) and 69.3/45.6 on 30 x 1000
+# (15.4M); 162/106 ms on 40 x 2000 (41M) and 693/404 on 20 x 20000 (205M).
+# ``train_family`` on twelve of simulate's training sets in turn in one
+# process, as its replications call it, took 23.8/23.1 ms (medians).
+HELPER_THRESHOLD = 1 << 23
 
 
 class MomentRangeError(ValueError):
@@ -392,10 +398,10 @@ def newton_minimize(
     A row fails at the iteration cap only if the convergence test after its
     ``NEWTON_MAX_ITER``-th step fails too.
 
-    An objective evaluation takes the rows in blocks of at most
-    ``BATCH_SIZE`` rows and ``BUDGET`` grid values, and holds one block's
-    weighted densities until the second moments of the rows it accepts are
-    taken, so only per-row values carry across iterations.
+    An objective evaluation takes the rows in blocks of ``BUDGET // n_grid``
+    (at least one), and holds one block's weighted densities until the
+    second moments of the rows it accepts are taken, so only per-row values
+    carry across iterations.
     """
     target = np.atleast_2d(np.asarray(target, dtype=float))
     m = target.shape[0]
@@ -412,7 +418,7 @@ def newton_minimize(
     grad, xi, step = np.zeros((3, *target.shape))
     second = np.zeros((m, k * k))
     iterations, halvings = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
-    block = max(1, min(BATCH_SIZE, BUDGET // model.domain.n_grid))
+    block = max(1, BUDGET // model.domain.n_grid)
 
     def take(sel, cand, t):
         """Evaluate the problems ``sel`` at ``cand``, accept each row that passes
@@ -518,24 +524,24 @@ def natural_from_moment(model: FamilyModel, xi, theta0: np.ndarray | None = None
     return rec.theta[0]
 
 
-def _presmooth_workers(lanes: int) -> int:
-    """Workers for pre-smoothing, the calling thread included: one per lane,
-    at least one, and at most one per CPU this process may run on."""
+def _presmooth_workers(n_samples: int) -> int:
+    """Workers for pre-smoothing, the calling thread included: one per CPU
+    this process may run on, at most one per sample."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, lanes))
+    return min(cpus, n_samples)
 
 
 def _smooth_all(smooth, samples: list[SubpopSample],
-                lanes: int | None = None) -> tuple[GridFn, ...]:
+                threaded: bool = True) -> tuple[GridFn, ...]:
     """``smooth`` of every sample, in input order.
 
-    The calling thread and ``_presmooth_workers(lanes) - 1`` threads (one
-    lane per sample unless ``lanes`` is given) each take the next sample
-    index from one counter until it runs out, and write the sample's
-    density into its slot.  A failure stops the counter; every
+    The calling thread and ``_presmooth_workers(n) - 1`` threads, where
+    ``n`` counts the samples if ``threaded`` and is 1 if not, each take the
+    next sample index from one counter until it runs out, and write the
+    sample's density into its slot.  A failure stops the counter; every
     earlier index was handed out before it, so once the threads are joined
     the first failing sample in input order raises its own exception.  An
     interrupt in the calling thread (any ``BaseException`` that is not an
@@ -569,9 +575,8 @@ def _smooth_all(smooth, samples: list[SubpopSample],
                 if not isinstance(exc, Exception):
                     raise
 
-    workers = _presmooth_workers(n if lanes is None else lanes)
     threads = [threading.Thread(target=work, name=f"repden-presmooth-{j}")
-               for j in range(1, workers)]
+               for j in range(1, _presmooth_workers(n if threaded else 1))]
     for t in threads:
         t.start()
     try:
@@ -598,12 +603,12 @@ def train_family(
 
     Pre-smooths every sample with the boundary-corrected KDE (median
     bandwidth unless one is given), applies the centered log transform, and
-    runs the weighted eigendecomposition.  Pre-smoothing runs one worker per
-    ``HELPER_LANES`` kernel-sum values (grid points times observations), at
-    least one and at most one per sample and per available CPU: the calling
-    thread takes its share of the samples and helper threads take the rest
-    (the kernel sums are numpy work that releases the GIL), so a training
-    set of under ``2 * HELPER_LANES`` values starts no thread.  Each density
+    runs the weighted eigendecomposition.  A training set of at least
+    ``HELPER_THRESHOLD`` kernel-sum values (grid points times observations)
+    is pre-smoothed by one worker per available CPU, at most one per sample:
+    the calling thread takes its share of the samples and helper threads
+    take the rest (the kernel sums are numpy work that releases the GIL).  A
+    smaller set is smoothed on the calling thread alone.  Each density
     depends on its sample alone and lands in its input slot, so the model is
     the same for any worker count, and the first sample outside the domain
     in input order is the one reported.
@@ -613,8 +618,8 @@ def train_family(
         raise ValueError("training requires at least two subpopulations")
     h = float(bandwidth) if bandwidth is not None else median_bandwidth(samples)
     smooth = partial(weighted_kde, cfg=KdeConfig(bandwidth=h), domain=domain)
-    lanes = min(n, sum(s.size for s in samples) * domain.n_grid // HELPER_LANES)
-    densities = _smooth_all(smooth, samples, lanes)
+    values = sum(s.size for s in samples) * domain.n_grid
+    densities = _smooth_all(smooth, samples, threaded=values >= HELPER_THRESHOLD)
     trajs = [clog_transform(p) for p in densities]
     sys = fit_fpca(trajs, min(k_max, n - 1))
     meta = ModelMeta(

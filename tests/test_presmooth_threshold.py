@@ -1,6 +1,7 @@
-"""Training starts a pre-smoothing helper thread only for each further
-``HELPER_LANES`` kernel-sum values (grid points times observations), so a
-small training set is smoothed on the calling thread alone."""
+"""Training starts pre-smoothing helper threads only for a set of at least
+``HELPER_THRESHOLD`` kernel-sum values (grid points times observations), one
+worker per available CPU; a smaller set is smoothed on the calling thread
+alone."""
 
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from repden import expfam
-from repden.expfam import HELPER_LANES, train_family
+from repden.expfam import HELPER_THRESHOLD, train_family
 from repden.grid import Domain
 from repden.modelio import model_to_dict
 from repden.presmooth import SubpopSample
@@ -43,26 +44,36 @@ def _started(monkeypatch):
     return started
 
 
-def test_no_worker_count_is_below_one():
-    assert expfam._presmooth_workers(0) == 1
-
-
 @pytest.mark.skipif(_cpus() < 2, reason="one CPU never starts a helper thread")
-def test_a_small_training_set_starts_no_thread(monkeypatch):
+def test_simulates_training_set_starts_no_thread(monkeypatch):
+    # simulate's 50 groups of 200 values on 512 grid points
     samples = _samples(50, 200)
-    assert 50 * 200 * DOMAIN.n_grid < 2 * HELPER_LANES
+    assert 50 * 200 * DOMAIN.n_grid < HELPER_THRESHOLD
     started = _started(monkeypatch)
     model = train_family(samples, DOMAIN, 4)
     assert started == []
     assert len(model.train_densities) == 50
 
 
-def test_a_large_training_set_starts_one_thread_per_further_lane(monkeypatch):
+# three samples whose kernel sums come to just under, or just over, the threshold
+SIZE = -(-HELPER_THRESHOLD // (3 * DOMAIN.n_grid))
+
+
+def test_a_set_just_under_the_threshold_starts_no_thread(monkeypatch):
+    samples = _samples(3, SIZE - 1)
+    assert 3 * (SIZE - 1) * DOMAIN.n_grid < HELPER_THRESHOLD
+    started = _started(monkeypatch)
+    train_family(samples, DOMAIN, 2)
+    assert started == []
+
+
+def test_a_set_at_the_threshold_starts_a_thread_per_further_cpu(monkeypatch):
     n = 3
-    samples = _samples(n, -(-HELPER_LANES // DOMAIN.n_grid))
+    samples = _samples(n, SIZE)
+    assert HELPER_THRESHOLD <= n * SIZE * DOMAIN.n_grid < 2 * HELPER_THRESHOLD
     started = _started(monkeypatch)
     model = train_family(samples, DOMAIN, 2)
     assert len(started) == min(_cpus(), n) - 1
-    monkeypatch.setattr(expfam, "_presmooth_workers", lambda lanes: 1)
+    monkeypatch.setattr(expfam, "_presmooth_workers", lambda n_samples: 1)
     serial = train_family(samples, DOMAIN, 2)
     assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(serial))
