@@ -248,12 +248,6 @@ def _load(path) -> _Loaded:
                    partial(clamp_log_obs, scaled), pushforward_values)
 
 
-def _densities(loaded: _Loaded, fits: FitBatch):
-    """``(rows, domain, values)``: densities in the data's scale, by blocks of fitted rows."""
-    for rows, theta in fits.blocks():
-        yield (rows, *loaded.density(theta))
-
-
 def _result_payload(sample: SubpopSample, result: FitResult) -> dict:
     return {
         "id": sample.id,
@@ -280,7 +274,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
 
     fits = loaded.fit([s.obs for s in samples], args.method, k=k, k_max=k_max)
-    for rows, dom, values in _densities(loaded, fits):
+    for rows, dom, values in fits.densities(loaded.density):
         for i, v in zip(rows, values):
             write_density_csv(out_dir / f"density_{samples[i].id}.csv", GridFn(dom, v))
     results = [{"id": s.id, "status": "error", "error": str(r)} if isinstance(r, FIT_ERRORS)
@@ -390,10 +384,11 @@ def _loo_kde(loaded: _Loaded, sample: SubpopSample) -> dict:
 def _loo_family(loaded: _Loaded, samples: list[SubpopSample], refits: FitBatch):
     """The leave-one-out entry of each sample under one family method, from the
     fits of the ``loo_subsets`` of ``samples``: its cross-entropy, each refit's
-    density read at its held-out value, or the error of its first failed refit."""
+    density from ``refits.densities`` read at its held-out value, or the error
+    of its first failed refit."""
     held = np.empty(len(refits))
     obs = np.concatenate([s.obs for s in samples])
-    for rows, dom, values in _densities(loaded, refits):
+    for rows, dom, values in refits.densities(loaded.density):
         held[rows] = [np.interp(obs[j], dom.grid, v) for j, v in zip(rows, values)]
     for s, end in zip(samples, np.cumsum([s.size for s in samples])):
         errors = refits.errors[end - s.size:end]
@@ -436,7 +431,7 @@ def cmd_evaluate(args) -> int:
             for row, err in zip(own, fits.errors):
                 if err is not None:
                     row.setdefault("error", str(err))
-            for block, dom, values in _densities(loaded, fits):
+            for block, dom, values in fits.densities(loaded.density):
                 for i, v in zip(block, values):
                     own[i]["return_levels"] = {f"{t:g}": return_level(GridFn(dom, v), t)
                                                for t in levels}

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfam import (
-    BATCH_SIZE,  # re-exported: a batch longer than one solver block
     FamilyModel,
     MomentRangeError,
     NewtonDivergenceError,
@@ -30,9 +29,12 @@ from .expfam import (
     _outside_range,
 )
 
-# Rows of one stacked density call in FitBatch.blocks: each holds a few
+# Rows of one stacked density call in FitBatch.densities: each holds a few
 # rows x grid buffers, and 256-row blocks raised simulate's peak memory.
 DENSITY_ROWS = 32
+
+# A batch longer than one Newton block on any grid of 256 points or more.
+BATCH_SIZE = 256
 
 BLUP_RIDGE = 1e-10
 BLUP_COND_LIMIT = 1e12
@@ -91,7 +93,8 @@ class FitBatch(Sequence):
     ``k`` (0 where the row failed), ``theta`` and ``xi`` NaN-padded to the
     widest truncation, ``aic`` with one column per truncation (NaN where it
     was not fitted), and ``errors`` (a failed row's error, else None).
-    ``batch[i]`` builds row ``i``'s :class:`FitResult`, or is its error."""
+    ``batch[i]`` builds row ``i``'s :class:`FitResult`, or is its error, and
+    :meth:`densities` maps the fitted rows to their densities."""
 
     method: str
     k: np.ndarray
@@ -125,15 +128,15 @@ class FitBatch(Sequence):
     def __eq__(self, other):
         return list(self) == other if isinstance(other, list) else NotImplemented
 
-    def blocks(self):
-        """``(rows, theta)`` for the fitted rows, by blocks of at most
-        ``DENSITY_ROWS`` rows of one truncation ``k`` (ascending): ``theta`` is
-        ``self.theta[rows, :k]``, ready for one stacked density call."""
+    def densities(self, density):
+        """``(rows, domain, values)`` for the fitted rows, by blocks of at most
+        ``DENSITY_ROWS`` rows of one truncation ``k`` (ascending): ``domain``
+        and ``values`` are ``density(self.theta[rows, :k])``, one stacked call."""
         for k in sorted(set(self.k.tolist()) - {0}):
             rows = np.flatnonzero(self.k == k)
             for start in range(0, rows.size, DENSITY_ROWS):
                 block = rows[start:start + DENSITY_ROWS]
-                yield block, self.theta[block, :k]
+                yield (block, *density(self.theta[block, :k]))
 
     def item(self) -> FitResult:
         """The first row's :class:`FitResult`; raises the row's error."""
@@ -245,7 +248,7 @@ def _fit(model: FamilyModel, obs, k: int, theta0, method: str, solve):
         errors[i] = MomentRangeError()
     rows = np.flatnonzero([e is None for e in errors])
     start = None if theta0 is None else np.reshape(theta0, phibar.shape)[rows]
-    rec = solve(s.n[rows], phibar[rows], start) if rows.size else NewtonRecord.failed(k, ())
+    rec = solve(s.n[rows], phibar[rows], start)
     # the sum over observations of mu + phi @ theta - B, from the means
     loglik = s.n[rows] * (s.mu_bar[rows] + np.einsum("ij,ij->i", phibar[rows], rec.theta) - rec.b)
     errors[rows] = rec.errors

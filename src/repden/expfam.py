@@ -34,18 +34,6 @@ _SLACK = 10.0 * np.finfo(float).eps
 # target sits on the attainable boundary is often false.
 THETA_DIVERGENCE_BOUND = 500.0
 
-# One objective evaluation of the Newton solve takes ``BUDGET // n_grid``
-# rows at a time (at least one), so its array of weighted densities holds at
-# most ``BUDGET`` values (512 KiB) on any grid of up to ``BUDGET`` points: 128
-# rows at 512 points, 16 at 4096.  Blocks of 256 rows at every grid size made
-# ``select_k_aic`` to k = 4 on 300 samples peak at 1.33 MiB at 512 points and
-# 8.33 MiB at 4096, and on 1024 samples at 2048 points at 4.91 MiB; the
-# budget gives 0.82, 0.81 and 1.38 MiB, and the same CPU time to within 2%
-# (tracemalloc, 2-vCPU VM).  The solver does not read ``BATCH_SIZE``: it is a
-# batch longer than one block on any grid of 256 points or more, by which
-# tests size their multi-block batches.
-BATCH_SIZE = 256
-
 # Kernel-sum values of pre-smoothing (grid points times observations) from
 # which training smooths on helper threads beside the calling thread, one
 # worker per available CPU; a smaller set is smoothed on the calling thread
@@ -418,6 +406,11 @@ def newton_minimize(
     grad, xi, step = np.zeros((3, *target.shape))
     second = np.zeros((m, k * k))
     iterations, halvings = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    # a block's weighted densities hold at most ``BUDGET`` values (512 KiB):
+    # 128 rows at 512 points, 16 at 4096.  256-row blocks made ``select_k_aic``
+    # to k = 4 peak at 1.33 and 8.33 MiB on 300 samples at 512 and 4096 points,
+    # and at 4.91 MiB on 1024 at 2048; the budget gives 0.82, 0.81 and 1.38 MiB
+    # at the same CPU time to within 2% (tracemalloc, 2-vCPU VM).
     block = max(1, BUDGET // model.domain.n_grid)
 
     def take(sel, cand, t):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .expfam import FamilyModel, ModelMeta
 from .fpca import EigenSystem
-from .grid import Domain, GridFn
+from .grid import Domain, GridFn, check_normalized
 from .logmap import LogDensityFn
 from .logscale import response_domain
 from .presmooth import SubpopSample
@@ -113,6 +113,10 @@ def model_from_dict(payload: dict) -> FamilyModel:
             GridFn(domain, np.array(vals, dtype=float))
             for vals in payload["train_densities"]
         )
+        for i, p in enumerate(densities):
+            if not np.all(p.values > 0):
+                raise ValueError(f"training density {i} is not strictly positive")
+            check_normalized(p, f"training density {i}")
         prov = payload["provenance"]
         meta = ModelMeta(
             n_train=int(prov["n"]),

@@ -18,6 +18,7 @@ keeps its BLAS thread count, which training's FPCA depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -72,6 +73,7 @@ def run_replication(
     kde_baseline: bool = True,
     bandwidth: float | None = None,
 ) -> RepOutcome:
+    """Replication ``rep``, scored from ``FitBatch.densities`` and ``silverman_kdes``."""
     # a one-observation sample has no rule-of-thumb bandwidth; fail here,
     # not after generating and training
     needs_two = [("train_size", spec.train_size)]
@@ -94,8 +96,7 @@ def run_replication(
         fits = fit(model, batch, method, k_max=sweep_k)
         if not fits.k.all():
             raise next(filter(None, fits.errors))
-        mkl[method] = _mean_kl(truths, ((rows, *density(model, theta))
-                                        for rows, theta in fits.blocks()))
+        mkl[method] = _mean_kl(truths, fits.densities(partial(density, model)))
         ks[method] = tuple(fits.k.tolist())
     if kde_baseline:
         mkl["kde"] = _mean_kl(truths, silverman_kdes([sample for sample, _ in test], domain))
